@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 from . import fixtures
 from .curvespec import parse_curve_spec, serialize_curve_spec
 from .errors import DegenerateGeometryError, InputError, InvalidField
-from .frenet import frame_at, reparam_by_arclength
+from .frenet import frame_at, frames_from_derivatives, reparam_by_arclength
 from .helix import classify_curve, lancret_test
 from .lift import AXIS_MODES, LiftSpec, lift_curve
 from .tolerances import DEFAULT_TOLERANCES
@@ -53,7 +52,10 @@ def _tolerances(args):
 
 
 def _emit_json(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise DegenerateGeometryError("the result holds a non-finite number") from None
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -130,10 +132,8 @@ def _cmd_lift(args) -> int:
     tol = _tolerances(args)
 
     reparameterized = False
-    lo, hi = base.domain
-    probe = np.linspace(lo, hi, 64)
-    speeds = [float(np.linalg.norm(base.eval(t, 1))) for t in probe]
-    if max(abs(v - 1.0) for v in speeds) > tol.vector_tol:
+    speeds = np.linalg.norm(base.eval(np.linspace(base.t_lo, base.t_hi, 64), 1), axis=1)
+    if not np.max(np.abs(speeds - 1.0)) <= tol.vector_tol:
         base = reparam_by_arclength(base, tol=tol)
         reparameterized = True
         print("note: base curve is not unit speed, reparameterized by arc length",
@@ -184,21 +184,21 @@ def _cmd_sample(args) -> int:
     if args.n < 2:
         raise InvalidField(f"--n must be at least 2, got {args.n}")
     ts = np.linspace(curve.t_lo, curve.t_hi, args.n)
+    columns = np.column_stack([ts, curve.eval(ts, 0)])
 
     header = ["t", "x", "y", "z"]
     if args.frames:
         header += ["Tx", "Ty", "Tz", "Nx", "Ny", "Nz", "Bx", "By", "Bz",
                    "kappa", "tau", "degenerate"]
+        fr, exists = frames_from_derivatives(*(curve.eval(ts, k) for k in (1, 2, 3)), tol)
+        frame_columns = np.column_stack([fr.T, fr.N, fr.B, fr.kappa, fr.tau])
     lines = [",".join(header)]
-    for t in ts:
-        pos = curve.eval(t, 0)
-        row = [_fmt(t)] + [_fmt(v) for v in pos]
+    for i, values in enumerate(columns):
+        row = [_fmt(v) for v in values]
         if args.frames:
-            try:
-                fr = frame_at(curve, t, tol=tol)
-                row += [_fmt(v) for v in fr.T] + [_fmt(v) for v in fr.N]
-                row += [_fmt(v) for v in fr.B] + [_fmt(fr.kappa), _fmt(fr.tau), "0"]
-            except DegenerateGeometryError:
+            if exists[i]:
+                row += [_fmt(v) for v in frame_columns[i]] + ["0"]
+            else:
                 row += [""] * 11 + ["1"]
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
@@ -285,7 +285,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow is reported through the exit code, not numpy warnings.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,11 +2,12 @@
 
 Every curve maps a scalar parameter from a closed interval into three
 dimensional Euclidean space and exposes derivatives up to order 3 through a
-single ``eval(t, order)`` entry point. Analytic kinds (polynomial
-components, circular helix) differentiate exactly. A polyline carries no
-smooth structure of its own, so it is interpolated once by a natural cubic
-spline and the spline is differentiated. Curves defined only through
-positions fall back to second order central differences, with the stencil
+single ``eval(t, order)`` entry point, which takes one parameter or a 1-D
+array of them. Analytic kinds (polynomial components, circular helix)
+differentiate exactly. A polyline carries no smooth structure of its own,
+so it is interpolated once by a natural cubic spline and the spline is
+differentiated. Curves defined only through positions fall back to second
+order central differences, one parameter at a time, with the stencil
 shifted to a one sided form near the domain ends.
 """
 
@@ -25,8 +26,22 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 MAX_DERIVATIVE_ORDER = 3
 
-#: Convention marker: points and derivatives are float64 arrays of shape (3,).
-Vec3 = np.ndarray
+
+def outside(ts, lo: float, hi: float) -> np.ndarray:
+    """Mask of the parameters that lie outside [lo, hi], NaN included.
+
+    Each end carries a slack of 1e-12 * max(1, hi - lo), which absorbs the
+    round off that quadrature, root finding and JSON round trips put on a
+    parameter. Every domain comparison in the package goes through here.
+    """
+    slack = 1e-12 * max(1.0, hi - lo)
+    ts = np.asarray(ts, dtype=float)
+    return ~((ts >= lo - slack) & (ts <= hi + slack))
+
+
+def same_domain(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    """True when each of two intervals contains the other up to the slack."""
+    return not (outside(a, *b).any() or outside(b, *a).any())
 
 
 def as_vec3(value, field: str = "vector") -> np.ndarray:
@@ -42,10 +57,12 @@ def as_vec3(value, field: str = "vector") -> np.ndarray:
 class ParamCurve:
     """A curve over a closed parameter interval.
 
-    Subclasses either implement ``_evaluate(t, order)`` for all orders 0..3
-    or implement ``_position(t)`` alone and inherit the finite difference
-    derivative path. Instances are immutable after construction and safe to
-    evaluate concurrently; results do not depend on evaluation order.
+    Subclasses either implement ``_evaluate(ts, order)`` for all orders 0..3
+    on a 1-D parameter array, returning shape (n, 3), or implement
+    ``_position(t)`` for one parameter alone and inherit the finite
+    difference derivative path. Instances are immutable after construction
+    and safe to evaluate concurrently; results do not depend on evaluation
+    order.
     """
 
     kind: str = "opaque"
@@ -86,31 +103,31 @@ class ParamCurve:
     def fd_step(self) -> float:
         return self._fd_step
 
-    def eval(self, t: float, order: int = 0) -> np.ndarray:
-        """Derivative of the given order at parameter ``t``.
+    def eval(self, t, order: int = 0) -> np.ndarray:
+        """Derivative of the given order at ``t``, a parameter or a 1-D array.
 
-        Raises UnsupportedOrder for orders outside 0..3 and OutOfDomain for
-        parameters outside the closed interval (a slack of 1e-12 times the
-        span absorbs round off from quadrature and root finding callers).
+        Returns shape (3,) for a scalar and (n, 3) for an array of n. Raises
+        UnsupportedOrder for orders outside 0..3 and OutOfDomain, naming the
+        first offending entry, for parameters outside the closed interval
+        (see ``outside`` for the round off slack).
         """
         if order not in (0, 1, 2, 3):
             raise UnsupportedOrder(order)
-        t = float(t)
+        ts = np.asarray(t, dtype=float)
         lo, hi = self._t_lo, self._t_hi
-        slack = 1e-12 * max(1.0, hi - lo)
-        if not math.isfinite(t) or t < lo - slack or t > hi + slack:
-            raise OutOfDomain(t, lo, hi)
-        return self._evaluate(min(max(t, lo), hi), int(order))
+        bad = outside(ts, lo, hi)
+        if bad.any():
+            raise OutOfDomain(float(ts[bad].flat[0]), lo, hi)
+        out = self._evaluate(np.clip(np.atleast_1d(ts), lo, hi), int(order))
+        return out if ts.ndim else out[0]
 
-    def position(self, t: float) -> np.ndarray:
-        return self.eval(t, 0)
-
-    def _evaluate(self, t: float, order: int) -> np.ndarray:
-        if order == 0:
-            return self._position(t)
-        return finite_difference_derivative(
-            self._position, t, order, self._fd_step, self.domain
-        )
+    def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
+        return np.array(
+            [
+                finite_difference_derivative(self._position, t, order, self._fd_step, self.domain)
+                for t in ts
+            ]
+        ).reshape(-1, 3)
 
     def _position(self, t: float) -> np.ndarray:
         raise NotImplementedError("curve kinds must implement _position or _evaluate")
@@ -166,9 +183,8 @@ class PolynomialCurve(ParamCurve):
     def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._coeffs
 
-    def _evaluate(self, t: float, order: int) -> np.ndarray:
-        cs = self._deriv_coeffs[order]
-        return np.array([float(npoly.polyval(t, c)) for c in cs])
+    def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
+        return np.stack([npoly.polyval(ts, c) for c in self._deriv_coeffs[order]], axis=-1)
 
 
 class CircularHelix(ParamCurve):
@@ -200,14 +216,14 @@ class CircularHelix(ParamCurve):
     def pitch(self) -> float:
         return self._pitch
 
-    def _evaluate(self, t: float, order: int) -> np.ndarray:
+    def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
         r, p = self._radius, self._pitch
         if order == 0:
-            return np.array([r * math.cos(t), r * math.sin(t), p * t])
+            return np.stack([r * np.cos(ts), r * np.sin(ts), p * ts], axis=-1)
         # d^k/dt^k of (cos, sin) is a quarter turn phase shift per order
-        ph = t + order * (math.pi / 2.0)
-        z = p if order == 1 else 0.0
-        return np.array([r * math.cos(ph), r * math.sin(ph), z])
+        ph = ts + order * (math.pi / 2.0)
+        z = np.full_like(ts, p if order == 1 else 0.0)
+        return np.stack([r * np.cos(ph), r * np.sin(ph), z], axis=-1)
 
 
 class Polyline(ParamCurve):
@@ -248,8 +264,8 @@ class Polyline(ParamCurve):
     def knots(self) -> np.ndarray:
         return self._knots
 
-    def _evaluate(self, t: float, order: int) -> np.ndarray:
-        return np.asarray(self._spline(t, nu=order), dtype=float)
+    def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
+        return self._spline(ts, nu=order)
 
 
 class TransformedCurve(ParamCurve):
@@ -282,8 +298,8 @@ class TransformedCurve(ParamCurve):
     def base(self) -> ParamCurve:
         return self._base
 
-    def _evaluate(self, t: float, order: int) -> np.ndarray:
-        out = self._scale * (self._rotation @ self._base.eval(t, order))
+    def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
+        out = self._scale * (self._base.eval(ts, order) @ self._rotation.T)
         if order == 0:
             out = out + self._translation
         return out
@@ -379,13 +395,9 @@ def regularity_check(curve, grid_size=256, tol: Tolerances | None = None) -> Reg
     if grid_size < 2:
         raise InvalidField(f"grid_size must be at least 2, got {grid_size}")
     ts = np.linspace(curve.t_lo, curve.t_hi, grid_size)
-    min_speed = math.inf
-    min_cross = math.inf
-    for t in ts:
-        d1 = curve.eval(t, 1)
-        d2 = curve.eval(t, 2)
-        min_speed = min(min_speed, float(np.linalg.norm(d1)))
-        min_cross = min(min_cross, float(np.linalg.norm(np.cross(d1, d2))))
+    d1 = curve.eval(ts, 1)
+    min_speed = float(np.min(np.linalg.norm(d1, axis=1)))
+    min_cross = float(np.min(np.linalg.norm(np.cross(d1, curve.eval(ts, 2)), axis=1)))
     return RegularityReport(
         min_speed=min_speed,
         min_cross_norm=min_cross,

@@ -4,7 +4,9 @@ A curve spec is a JSON object with a ``kind`` field. The schema kinds are
 polynomial, circular_helix, polyline, and lifted; arclength_reparam is an
 additional kind this toolkit emits when a lift needed its base curve
 reparameterized first. parse and serialize are exact inverses on every
-kind: serialize(parse(serialize(c))) == serialize(c).
+kind: serialize(parse(serialize(c))) == serialize(c). Every malformed
+document raises an InputError: a ValueError or TypeError from building a
+curve becomes InvalidField, and nesting is capped at MAX_SPEC_DEPTH.
 """
 
 from __future__ import annotations
@@ -14,19 +16,23 @@ import math
 
 import numpy as np
 
-from .curves import CircularHelix, ParamCurve, Polyline, PolynomialCurve
+from .curves import CircularHelix, ParamCurve, Polyline, PolynomialCurve, same_domain
 from .errors import InputError, InvalidField, ParseError, UnknownKind
 from .frenet import ReparamCurve, reparam_by_arclength
 from .lift import LiftSpec, LiftedCurve, lift_curve
 
 _REPARAM_DEFAULT_GRID = 512
 
+#: Deepest chain of nested "base" specs accepted; a lift of a reparameterized
+#: curve nests two levels, so this leaves ample room for real documents.
+MAX_SPEC_DEPTH = 32
+
 
 def parse_curve_spec(text: str) -> ParamCurve:
     """Parse a curve spec document into a curve object."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"curve spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"curve spec must be a JSON object, got {type(doc).__name__}")
@@ -77,7 +83,23 @@ def _vector(doc, name, default=None):
     return [float(v) for v in value]
 
 
-def _build_polynomial(doc):
+def _base(doc, depth):
+    base_doc = doc.get("base")
+    if not isinstance(base_doc, dict):
+        raise InvalidField("'base' must be a nested curve spec object")
+    return _curve(base_doc, depth + 1)
+
+
+def _check_domain(doc, curve, what):
+    domain = _domain(doc, required=False)
+    if domain is not None and not same_domain(domain, curve.domain):
+        raise InvalidField(
+            f"'domain' {list(domain)} disagrees with the {what} [{curve.t_lo}, {curve.t_hi}]"
+        )
+    return curve
+
+
+def _build_polynomial(doc, depth):
     domain = _domain(doc)
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != 3:
@@ -88,33 +110,21 @@ def _build_polynomial(doc):
     return PolynomialCurve(coeffs, domain)
 
 
-def _build_circular_helix(doc):
+def _build_circular_helix(doc, depth):
     domain = _domain(doc)
     return CircularHelix(_real(doc, "radius"), _real(doc, "pitch"), domain)
 
 
-def _build_polyline(doc):
+def _build_polyline(doc, depth):
     points = doc.get("points")
     knots = doc.get("knots")
     if points is None or knots is None:
         raise InvalidField("polyline needs 'points' and 'knots'")
-    curve = Polyline(points, knots)
-    domain = _domain(doc, required=False)
-    if domain is not None:
-        slack = 1e-12 * max(1.0, curve.span)
-        if abs(domain[0] - curve.t_lo) > slack or abs(domain[1] - curve.t_hi) > slack:
-            raise InvalidField(
-                f"'domain' {list(domain)} disagrees with the knot range "
-                f"[{curve.t_lo}, {curve.t_hi}]"
-            )
-    return curve
+    return _check_domain(doc, Polyline(points, knots), "knot range")
 
 
-def _build_lifted(doc):
-    base_doc = doc.get("base")
-    if not isinstance(base_doc, dict):
-        raise InvalidField("'base' must be a nested curve spec object")
-    base = curve_from_dict(base_doc)
+def _build_lifted(doc, depth):
+    base = _base(doc, depth)
     axis_mode = doc.get("axis_mode", "unit")
     spec = LiftSpec(
         theta=_real(doc, "theta"),
@@ -123,26 +133,14 @@ def _build_lifted(doc):
         axis_mode=axis_mode,
         axis=None if doc.get("axis") is None else np.asarray(_vector(doc, "axis")),
     )
-    curve = lift_curve(base, spec, strict=False)
-    domain = _domain(doc, required=False)
-    if domain is not None:
-        slack = 1e-12 * max(1.0, curve.span)
-        if abs(domain[0] - curve.t_lo) > slack or abs(domain[1] - curve.t_hi) > slack:
-            raise InvalidField(
-                f"'domain' {list(domain)} disagrees with the base domain "
-                f"[{curve.t_lo}, {curve.t_hi}]"
-            )
-    return curve
+    return _check_domain(doc, lift_curve(base, spec, strict=False), "base domain")
 
 
-def _build_reparam(doc):
-    base_doc = doc.get("base")
-    if not isinstance(base_doc, dict):
-        raise InvalidField("'base' must be a nested curve spec object")
+def _build_reparam(doc, depth):
     grid = doc.get("grid", _REPARAM_DEFAULT_GRID)
     if isinstance(grid, bool) or not isinstance(grid, int) or grid < 2:
         raise InvalidField(f"'grid' must be an integer >= 2, got {grid!r}")
-    return reparam_by_arclength(curve_from_dict(base_doc), grid_size=grid)
+    return reparam_by_arclength(_base(doc, depth), grid_size=grid)
 
 
 _BUILDERS = {
@@ -155,13 +153,23 @@ _BUILDERS = {
 
 
 def curve_from_dict(doc: dict) -> ParamCurve:
+    return _curve(doc, 0)
+
+
+def _curve(doc: dict, depth: int) -> ParamCurve:
+    # depth counts the specs that enclose this one.
+    if depth > MAX_SPEC_DEPTH:
+        raise InvalidField(f"curve spec nests more than {MAX_SPEC_DEPTH} levels deep")
     if "kind" not in doc:
         raise InvalidField("curve spec is missing the 'kind' field")
     kind = doc["kind"]
-    builder = _BUILDERS.get(kind)
+    builder = _BUILDERS.get(kind) if isinstance(kind, str) else None
     if builder is None:
         raise UnknownKind(kind)
-    return builder(doc)
+    try:
+        return builder(doc, depth)
+    except (ValueError, TypeError) as exc:
+        raise InvalidField(f"malformed {kind} spec: {exc}") from exc
 
 
 def curve_to_dict(curve: ParamCurve) -> dict:

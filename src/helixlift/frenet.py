@@ -9,17 +9,18 @@ parameterization:
     kappa = |a' x a''| / |a'|^3
     tau   = det(a', a'', a''') / |a' x a''|^2
 
-Arc length integrates the speed with adaptive Simpson quadrature, and the
-unit speed reparameterization inverts the cumulative arc length map with a
-bracketed Newton iteration. The reparameterized curve differentiates through
-the chain rule, so its derivatives are as exact as the base curve's.
+Every frame comes from one kernel, ``frames_from_derivatives``, which works
+on arrays of samples. Arc length integrates the speed with one adaptive
+Simpson integrator that refines all panels together, and the unit speed
+reparameterization inverts the cumulative arc length map with a bracketed
+Newton iteration run on all queries at once. Nothing is cached. The
+reparameterized curve differentiates through the chain rule, so its
+derivatives are as exact as the base curve's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,11 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 @dataclass(frozen=True)
 class FrenetFrame:
-    """Orthonormal frame with curvature data at one parameter value."""
+    """Orthonormal frame with curvature data at one parameter value.
+
+    A frame built at an array of n parameters holds them all: T, N and B
+    have shape (n, 3), and kappa, tau and speed shape (n,).
+    """
 
     T: np.ndarray
     N: np.ndarray
@@ -40,112 +45,139 @@ class FrenetFrame:
     speed: float
 
 
-def _frame_pieces(curve, t, tol):
-    """Shared derivative plumbing for frame_at and curvature_torsion."""
-    d1 = curve.eval(t, 1)
-    d2 = curve.eval(t, 2)
-    d3 = curve.eval(t, 3)
-    speed = float(np.linalg.norm(d1))
+def frames_from_derivatives(d1, d2, d3, tol: Tolerances | None = None):
+    """The frame kernel: Frenet frames from the first three derivatives.
+
+    d1, d2, d3 are (3,) vectors or (n, 3) arrays. Returns the frame, its
+    fields shaped like the input rows, and a mask of the rows where the
+    frame exists: speed and |a' x a''| above speed_tol, and speed,
+    |a' x a''|, kappa and tau all finite. Other rows hold meaningless values.
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    with np.errstate(all="ignore"):
+        speed = np.linalg.norm(d1, axis=-1)
+        cross = np.cross(d1, d2)
+        cross_norm = np.linalg.norm(cross, axis=-1)
+        kappa = cross_norm / speed**3
+        tau = np.sum(cross * d3, axis=-1) / cross_norm**2
+        T = d1 / speed[..., None]
+        B = cross / cross_norm[..., None]
+        N = np.cross(B, T)
+    exists = (speed > tol.speed_tol) & (cross_norm > tol.speed_tol)
+    exists &= np.all(np.isfinite([speed, cross_norm, kappa, tau]), axis=0)
+    return FrenetFrame(T=T, N=N, B=B, kappa=kappa[()], tau=tau[()], speed=speed[()]), exists
+
+
+def require_frames(frame: FrenetFrame, exists, ts, tol: Tolerances) -> None:
+    """Raise for the first sample of ``ts`` without a frame: ZeroSpeed when
+    its speed vanished, DegenerateFrame otherwise."""
+    missing = np.flatnonzero(~exists)
+    if missing.size == 0:
+        return
+    i = missing[0]
+    t, speed, kappa = (np.ravel(x)[i] for x in (ts, frame.speed, frame.kappa))
     if speed <= tol.speed_tol:
         raise ZeroSpeed(f"speed {speed:.3e} at t={t} is below the degeneracy threshold")
-    cross = np.cross(d1, d2)
-    cross_norm = float(np.linalg.norm(cross))
-    if cross_norm <= tol.speed_tol:
-        raise DegenerateFrame(
-            f"|a' x a''| = {cross_norm:.3e} at t={t}; velocity and acceleration are parallel"
-        )
-    kappa = cross_norm / speed**3
-    tau = float(np.dot(cross, d3)) / cross_norm**2
-    return d1, cross, speed, cross_norm, kappa, tau
+    raise DegenerateFrame(
+        f"|a' x a''| = {kappa * speed**3:.3e} at t={t}; velocity and acceleration "
+        "are parallel or not finite"
+    )
+
+
+def frame_at(curve, t, tol: Tolerances | None = None) -> FrenetFrame:
+    """Frenet frame at ``t``, one parameter or a 1-D array of them.
+
+    The binormal comes from the velocity cross acceleration and the normal
+    is defined as B x T, which keeps the triple right handed by
+    construction. Raises ZeroSpeed or DegenerateFrame for the first sample
+    where the frame does not exist.
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    frame, exists = frames_from_derivatives(*(curve.eval(t, k) for k in (1, 2, 3)), tol)
+    require_frames(frame, exists, t, tol)
+    return frame
 
 
 def curvature_torsion(curve, t, tol: Tolerances | None = None) -> tuple[float, float]:
     """Curvature and torsion at ``t`` for an arbitrary regular parameterization."""
-    tol = tol or DEFAULT_TOLERANCES
-    _, _, _, _, kappa, tau = _frame_pieces(curve, t, tol)
-    return kappa, tau
+    frame = frame_at(curve, t, tol)
+    return frame.kappa, frame.tau
 
 
-def frame_at(curve, t, tol: Tolerances | None = None) -> FrenetFrame:
-    """Frenet frame at ``t``.
+#: Local tolerance of every arc length integral. Panels start short (a grid
+#: cell or less), so most of them are accepted at the first refinement.
+_QUAD_TOL = 1e-12
+_MAX_DEPTH = 48
+#: Most panels under refinement at once. Where round off never meets the
+#: absolute tolerance (very long panels) the open panels would double at every
+#: level; past this many every open panel is accepted, as at the depth cap.
+#: A whole polyline integrated from one panel peaks near 6k.
+_MAX_OPEN_PANELS = 1 << 18
 
-    The binormal comes from the velocity cross acceleration and the normal
-    is defined as B x T, which keeps the triple right handed by
-    construction. Raises ZeroSpeed or DegenerateFrame when the frame does
-    not exist.
+
+def _speed(curve, ts):
+    return np.linalg.norm(curve.eval(ts, 1), axis=-1)
+
+
+def integrate_speed(curve, a, b) -> np.ndarray:
+    """Arc length over each panel [a[i], b[i]] by adaptive Simpson quadrature.
+
+    All panels are refined together, one level at a time, with one speed
+    evaluation per level. A panel is accepted when halving moves its
+    estimate by less than 15 * tol, tol halves at each level, and the
+    accepted value carries the Richardson correction, so it is one order
+    better than plain Simpson. Depth 48, a width floor of 1e-14 of the
+    starting panel and a cap on the open panels stop panels that round off
+    keeps from converging; a non-finite estimate is final at once.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    d1, cross, speed, cross_norm, kappa, tau = _frame_pieces(curve, t, tol)
-    T = d1 / speed
-    B = cross / cross_norm
-    N = np.cross(B, T)
-    return FrenetFrame(T=T, N=N, B=B, kappa=kappa, tau=tau, speed=speed)
-
-
-def _adaptive_simpson(f, a, b, tol):
-    """Adaptive Simpson quadrature, interval bisection on the local estimate.
-
-    Accepts a panel when the halved estimate moves by less than 15 * tol and
-    applies the standard Richardson correction, so the returned value is one
-    order better than plain Simpson.
-    """
-    if b <= a:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    total = 0.0
-    floor = (b - a) * 1e-14
-    stack = [(a, b, fa, fm, fb, whole, tol, 0)]
-    while stack:
-        x0, x2, f0, f1, f2, s_whole, loc_tol, depth = stack.pop()
+    x0 = np.asarray(a, dtype=float)
+    x2 = np.asarray(b, dtype=float)
+    n = x0.size
+    f0, f1, f2 = np.split(_speed(curve, np.concatenate([x0, 0.5 * (x0 + x2), x2])), 3)
+    whole = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+    floor = (x2 - x0) * 1e-14
+    owner = np.arange(n)
+    owners, parts = [], []
+    for depth in range(_MAX_DEPTH + 1):
         xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        s_left = (xm - x0) / 6.0 * (f0 + 4.0 * fl + f1)
-        s_right = (x2 - xm) / 6.0 * (f1 + 4.0 * fr + f2)
-        diff = s_left + s_right - s_whole
-        if abs(diff) < 15.0 * loc_tol or depth >= 48 or (x2 - x0) <= floor:
-            total += s_left + s_right + diff / 15.0
-        else:
-            stack.append((x0, xm, f0, fl, f1, s_left, 0.5 * loc_tol, depth + 1))
-            stack.append((xm, x2, f1, fr, f2, s_right, 0.5 * loc_tol, depth + 1))
-    return total
+        fl, fr = np.split(_speed(curve, np.concatenate([0.5 * (x0 + xm), 0.5 * (xm + x2)])), 2)
+        left = (xm - x0) / 6.0 * (f0 + 4.0 * fl + f1)
+        right = (x2 - xm) / 6.0 * (f1 + 4.0 * fr + f2)
+        diff = left + right - whole
+        tol = _QUAD_TOL * 0.5**depth
+        done = (np.abs(diff) < 15.0 * tol) | ~np.isfinite(diff) | ((x2 - x0) <= floor[owner])
+        if depth == _MAX_DEPTH or np.count_nonzero(~done) > _MAX_OPEN_PANELS:
+            done[:] = True
+        owners.append(owner[done])
+        parts.append((left + right + diff / 15.0)[done])
+        more = ~done
+        if not more.any():
+            break
+        # Left halves first, then right halves, each with its own parent data.
+        owner = np.tile(owner[more], 2)
+        x0, x2 = np.concatenate([x0[more], xm[more]]), np.concatenate([xm[more], x2[more]])
+        f0, f1, f2 = (np.concatenate([u[more], w[more]]) for u, w in ((f0, f1), (fl, fr), (f1, f2)))
+        whole = np.concatenate([left[more], right[more]])
+    return np.bincount(np.concatenate(owners), weights=np.concatenate(parts), minlength=n)
 
 
-def arc_length(curve, t0, t1, quad_tol: float = 1e-11) -> float:
+def arc_length(curve, t0, t1) -> float:
     """Arc length of the curve between t0 and t1 (t0 <= t1 required)."""
-    t0 = float(t0)
-    t1 = float(t1)
-    lo, hi = curve.domain
-    slack = 1e-12 * max(1.0, hi - lo)
-    for t in (t0, t1):
-        if not math.isfinite(t) or t < lo - slack or t > hi + slack:
-            from .errors import OutOfDomain
-
-            raise OutOfDomain(t, lo, hi)
-    if t0 > t1:
+    if float(t0) > float(t1):
         raise InputError(f"arc_length needs t0 <= t1, got t0={t0}, t1={t1}")
-
-    def speed(t):
-        return float(np.linalg.norm(curve.eval(t, 1)))
-
-    return _adaptive_simpson(speed, max(t0, lo), min(t1, hi), quad_tol)
+    return float(integrate_speed(curve, [t0], [t1])[0])
 
 
 class ArcLengthMap:
-    """Cumulative arc length of a curve and its inverse.
+    """Cumulative arc length of a curve and its inverse, on parameter arrays.
 
-    A uniform table of grid_size nodes brackets queries; forward(t) adds an
-    adaptive Simpson integral from the nearest node below, and inverse(s)
-    runs a bracketed Newton iteration against forward. Both directions are
-    cached, deterministic, and accurate to roughly 1e-12 in absolute terms,
-    which keeps finite differences taken through this map well behaved.
+    A uniform table of grid_size nodes brackets queries. forward(t) adds the
+    integral from the nearest node below, and inverse(s) runs a bracketed
+    Newton iteration against forward on all queries at once. Both share the
+    adaptive Simpson rule of ``integrate_speed``, cache nothing, are
+    deterministic, and are accurate to roughly 1e-12 in absolute terms, which
+    keeps finite differences taken through this map well behaved.
     """
-
-    # Tight local tolerance: node spacing is small, so panels converge at once.
-    _QUAD_TOL = 1e-12
 
     def __init__(self, curve: ParamCurve, grid_size: int = 512, tol: Tolerances | None = None):
         tol = tol or DEFAULT_TOLERANCES
@@ -153,27 +185,17 @@ class ArcLengthMap:
         if grid_size < 2:
             raise InvalidField(f"grid_size must be at least 2, got {grid_size}")
         self._curve = curve
-        self._tol = tol
         ts = np.linspace(curve.t_lo, curve.t_hi, grid_size)
-        for t in ts:
-            if float(np.linalg.norm(curve.eval(t, 1))) <= tol.speed_tol:
-                raise ZeroSpeed(f"speed vanishes near t={t}; arc length map is not invertible")
-        seg = np.empty(grid_size - 1)
-        for i in range(grid_size - 1):
-            seg[i] = _adaptive_simpson(self._speed, ts[i], ts[i + 1], self._QUAD_TOL)
-        if np.any(seg <= 0):
-            raise ZeroSpeed("arc length table is not strictly increasing")
+        slow = np.flatnonzero(_speed(curve, ts) <= tol.speed_tol)
+        if slow.size:
+            raise ZeroSpeed(
+                f"speed vanishes near t={ts[slow[0]]}; arc length map is not invertible"
+            )
+        seg = integrate_speed(curve, ts[:-1], ts[1:])
+        if not np.all(np.isfinite(seg) & (seg > 0)):
+            raise ZeroSpeed("arc length table is not finite and strictly increasing")
         self._ts = ts
         self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-        self._forward_cached = lru_cache(maxsize=65536)(self._forward_impl)
-        self._inverse_cached = lru_cache(maxsize=65536)(self._inverse_impl)
-
-    def _speed(self, t):
-        return float(np.linalg.norm(self._curve.eval(t, 1)))
-
-    @property
-    def curve(self) -> ParamCurve:
-        return self._curve
 
     @property
     def grid_size(self) -> int:
@@ -183,49 +205,42 @@ class ArcLengthMap:
     def total_length(self) -> float:
         return float(self._cum[-1])
 
-    def forward(self, t: float) -> float:
-        """Arc length from the domain start to parameter t."""
-        lo, hi = self._curve.domain
-        t = min(max(float(t), lo), hi)
-        return self._forward_cached(t)
+    def forward(self, t):
+        """Arc length from the domain start to t (a parameter or an array)."""
+        ts = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), *self._curve.domain)
+        k = np.clip(np.searchsorted(self._ts, ts, side="right") - 1, 0, len(self._ts) - 2)
+        s = self._cum[k] + integrate_speed(self._curve, self._ts[k], ts)
+        return s if np.ndim(t) else float(s[0])
 
-    def _forward_impl(self, t: float) -> float:
-        k = int(np.searchsorted(self._ts, t, side="right")) - 1
-        k = min(max(k, 0), len(self._ts) - 2)
-        if t <= self._ts[k]:
-            return float(self._cum[k])
-        return float(self._cum[k]) + _adaptive_simpson(self._speed, self._ts[k], t, self._QUAD_TOL)
+    def inverse(self, s):
+        """Parameter t with forward(t) = s (a length or an array), s clamped
+        into [0, total_length]."""
+        t = self._inverse(np.atleast_1d(np.asarray(s, dtype=float)))
+        return t if np.ndim(s) else float(t[0])
 
-    def inverse(self, s: float) -> float:
-        """Parameter t with forward(t) = s, clamping s into [0, total_length]."""
-        s = min(max(float(s), 0.0), self.total_length)
-        return self._inverse_cached(s)
-
-    def _inverse_impl(self, s: float) -> float:
-        cum = self._cum
-        ts = self._ts
-        k = int(np.searchsorted(cum, s, side="right")) - 1
-        k = min(max(k, 0), len(ts) - 2)
-        lo_b, hi_b = float(ts[k]), float(ts[k + 1])
-        width = cum[k + 1] - cum[k]
-        frac = (s - cum[k]) / width if width > 0 else 0.5
-        t = lo_b + frac * (hi_b - lo_b)
+    def _inverse(self, s: np.ndarray) -> np.ndarray:
+        cum, ts = self._cum, self._ts
+        s = np.clip(s, 0.0, self.total_length)
+        k = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(ts) - 2)
+        lo_b, hi_b = ts[k], ts[k + 1]
+        # The table is strictly increasing, so every cell has positive width.
+        t = lo_b + (s - cum[k]) / (cum[k + 1] - cum[k]) * (hi_b - lo_b)
         step_tol = 1e-14 * max(1.0, self._curve.span)
+        active = np.arange(t.size)
         for _ in range(12):
-            resid = self.forward(t) - s
-            if resid > 0:
-                hi_b = t
-            else:
-                lo_b = t
-            v = self._speed(t)
-            t_new = t - resid / v
-            if not (lo_b <= t_new <= hi_b):
-                t_new = 0.5 * (lo_b + hi_b)
-            if abs(t_new - t) <= step_tol:
-                t = t_new
+            ta = t[active]
+            resid = self.forward(ta) - s[active]
+            above = resid > 0
+            hi_b[active] = np.where(above, ta, hi_b[active])
+            lo_b[active] = np.where(above, lo_b[active], ta)
+            t_new = ta - resid / _speed(self._curve, ta)
+            inside = (lo_b[active] <= t_new) & (t_new <= hi_b[active])
+            t_new = np.where(inside, t_new, 0.5 * (lo_b[active] + hi_b[active]))
+            t[active] = t_new
+            active = active[np.abs(t_new - ta) > step_tol]
+            if active.size == 0:
                 break
-            t = t_new
-        return float(min(max(t, self._curve.t_lo), self._curve.t_hi))
+        return np.clip(t, self._curve.t_lo, self._curve.t_hi)
 
 
 class ReparamCurve(ParamCurve):
@@ -254,24 +269,27 @@ class ReparamCurve(ParamCurve):
     def length_map(self) -> ArcLengthMap:
         return self._map
 
-    def _evaluate(self, s: float, order: int) -> np.ndarray:
-        t = self._map.inverse(s)
+    def _evaluate(self, s: np.ndarray, order: int) -> np.ndarray:
+        # s is already a 1-D array; inverse() would only add shape handling.
+        t = self._map._inverse(s)
         if order == 0:
             return self._base.eval(t, 0)
         b1 = self._base.eval(t, 1)
-        v = float(np.linalg.norm(b1))
-        if v <= self._tol.speed_tol:
-            raise ZeroSpeed(f"base speed vanishes at t={t}")
+        # Column vectors, so the chain rule below broadcasts over the rows.
+        v = np.linalg.norm(b1, axis=1, keepdims=True)
+        slow = np.flatnonzero(v <= self._tol.speed_tol)
+        if slow.size:
+            raise ZeroSpeed(f"base speed vanishes at t={t[slow[0]]}")
         t1 = 1.0 / v
         if order == 1:
             return b1 * t1
         b2 = self._base.eval(t, 2)
-        vdot = float(np.dot(b1, b2)) / v
+        vdot = np.sum(b1 * b2, axis=1, keepdims=True) / v
         t2 = -vdot / v**3
         if order == 2:
             return b2 * (t1 * t1) + b1 * t2
         b3 = self._base.eval(t, 3)
-        vddot = (float(np.dot(b2, b2)) + float(np.dot(b1, b3))) / v - vdot * vdot / v
+        vddot = np.sum(b2 * b2 + b1 * b3, axis=1, keepdims=True) / v - vdot * vdot / v
         t3 = (3.0 * vdot * vdot - v * vddot) / v**5
         return b3 * t1**3 + 3.0 * b2 * t1 * t2 + b1 * t3
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import same_domain
 from .errors import DegenerateFrame, DomainMismatch, InvalidField, NotAHelix
-from .frenet import curvature_torsion, frame_at
+from .frenet import frame_at, integrate_speed
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 #: Denominator floor in relative deviation, keeps sigma == 0 well defined.
@@ -56,19 +57,25 @@ def constancy_stat(values, floor: float = STAT_FLOOR) -> ConstancyStat:
     )
 
 
-def _uniform_grid(curve, grid_size):
+def frame_grid(curve, grid_size, tol: Tolerances):
+    """The uniform grid of grid_size parameters and the frames on it.
+
+    Raises ZeroSpeed or DegenerateFrame for the first sample without a frame.
+    """
     grid_size = int(grid_size)
     if grid_size < 3:
         raise InvalidField(f"grid_size must be at least 3, got {grid_size}")
-    return np.linspace(curve.t_lo, curve.t_hi, grid_size)
+    ts = np.linspace(curve.t_lo, curve.t_hi, grid_size)
+    return ts, frame_at(curve, ts, tol)
 
 
-def _kappa_tau_grid(curve, ts, tol):
-    kappas = np.empty(len(ts))
-    taus = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        kappas[i], taus[i] = curvature_torsion(curve, t, tol)
-    return kappas, taus
+def lancret_of(frames, tol: Tolerances):
+    """The Lancret criterion on a frame grid; see lancret_test."""
+    if np.any(np.abs(frames.tau) <= tol.speed_tol):
+        raise DegenerateFrame("torsion vanishes at a sample; Lancret ratio undefined there")
+    stat = constancy_stat(frames.kappa / frames.tau)
+    theta = math.atan(abs(stat.mean))
+    return stat.rel_dev <= tol.constancy_tol, theta, stat
 
 
 def lancret_test(curve, grid_size: int = 256, tol: Tolerances | None = None):
@@ -80,13 +87,25 @@ def lancret_test(curve, grid_size: int = 256, tol: Tolerances | None = None):
     sample, since the ratio is undefined there.
     """
     tol = tol or DEFAULT_TOLERANCES
-    ts = _uniform_grid(curve, grid_size)
-    kappas, taus = _kappa_tau_grid(curve, ts, tol)
-    if np.any(np.abs(taus) <= tol.speed_tol):
-        raise DegenerateFrame("torsion vanishes at a sample; Lancret ratio undefined there")
-    stat = constancy_stat(kappas / taus)
-    theta = math.atan(abs(stat.mean))
-    return stat.rel_dev <= tol.constancy_tol, theta, stat
+    return lancret_of(frame_grid(curve, grid_size, tol)[1], tol)
+
+
+def axis_of(frames, theta: float, ratio_stat: ConstancyStat, tol: Tolerances):
+    """Helix axis on a frame grid, given the grid's Lancret result; see helix_axis."""
+    sign = 1.0 if ratio_stat.mean >= 0 else -1.0
+    samples = math.cos(theta) * frames.T + sign * math.sin(theta) * frames.B
+    mean_vec = samples.mean(axis=0)
+    mean_norm = float(np.linalg.norm(mean_vec))
+    max_dev = float(np.max(np.linalg.norm(samples - mean_vec, axis=1)))
+    stat = ConstancyStat(
+        mean=mean_norm,
+        max_abs_dev=max_dev,
+        rel_dev=max_dev / max(mean_norm, STAT_FLOOR),
+        grid_size=len(samples),
+    )
+    if stat.rel_dev > tol.constancy_tol:
+        raise NotAHelix(f"axis direction wanders by {stat.rel_dev:.3e} relative")
+    return mean_vec / mean_norm, stat
 
 
 def helix_axis(curve, grid_size: int = 256, tol: Tolerances | None = None):
@@ -98,43 +117,28 @@ def helix_axis(curve, grid_size: int = 256, tol: Tolerances | None = None):
     Lancret test or the axis constancy fails.
     """
     tol = tol or DEFAULT_TOLERANCES
-    is_helix, theta, ratio_stat = lancret_test(curve, grid_size, tol)
+    frames = frame_grid(curve, grid_size, tol)[1]
+    is_helix, theta, ratio_stat = lancret_of(frames, tol)
     if not is_helix:
         raise NotAHelix(f"kappa/tau relative deviation {ratio_stat.rel_dev:.3e} exceeds tolerance")
-    ts = _uniform_grid(curve, grid_size)
-    sign = 1.0 if ratio_stat.mean >= 0 else -1.0
-    c, s = math.cos(theta), math.sin(theta)
-    samples = np.empty((len(ts), 3))
-    for i, t in enumerate(ts):
-        fr = frame_at(curve, t, tol)
-        samples[i] = c * fr.T + sign * s * fr.B
-    mean_vec = samples.mean(axis=0)
-    mean_norm = float(np.linalg.norm(mean_vec))
-    max_dev = float(np.max(np.linalg.norm(samples - mean_vec, axis=1)))
-    stat = ConstancyStat(
-        mean=mean_norm,
-        max_abs_dev=max_dev,
-        rel_dev=max_dev / max(mean_norm, STAT_FLOOR),
-        grid_size=len(ts),
-    )
-    if stat.rel_dev > tol.constancy_tol:
-        raise NotAHelix(f"axis direction wanders by {stat.rel_dev:.3e} relative")
-    return mean_vec / mean_norm, stat
+    return axis_of(frames, theta, ratio_stat, tol)
 
 
-def _arclength_nodes(curve, ts):
-    """Cumulative arc length at the grid nodes via composite Simpson.
-
-    One Simpson panel per segment is plenty here: the segments are short and
-    the result only normalizes grid differences.
-    """
-    s = np.zeros(len(ts))
-    speeds = np.array([float(np.linalg.norm(curve.eval(t, 1))) for t in ts])
-    for i in range(len(ts) - 1):
-        tm = 0.5 * (ts[i] + ts[i + 1])
-        vm = float(np.linalg.norm(curve.eval(tm, 1)))
-        s[i + 1] = s[i] + (ts[i + 1] - ts[i]) / 6.0 * (speeds[i] + 4.0 * vm + speeds[i + 1])
-    return s
+def slant_of(curve, ts, frames, tol: Tolerances):
+    """The slant helix test on a frame grid over ts; see slant_test."""
+    s = np.concatenate([[0.0], np.cumsum(integrate_speed(curve, ts[:-1], ts[1:]))])
+    h = np.diff(s)
+    h_lo, h_hi = h[:-1], h[1:]
+    ratios = frames.tau / frames.kappa
+    dr = (
+        ratios[2:] * h_lo * h_lo
+        + ratios[1:-1] * (h_hi * h_hi - h_lo * h_lo)
+        - ratios[:-2] * h_hi * h_hi
+    ) / (h_hi * h_lo * (h_hi + h_lo))
+    k2 = frames.kappa[1:-1] * frames.kappa[1:-1]
+    tau = frames.tau[1:-1]
+    stat = constancy_stat((k2 / (k2 + tau * tau) ** 1.5) * dr, floor=SIGMA_FLOOR)
+    return stat.rel_dev <= tol.constancy_tol, stat
 
 
 def slant_test(curve, grid_size: int = 256, tol: Tolerances | None = None):
@@ -145,23 +149,8 @@ def slant_test(curve, grid_size: int = 256, tol: Tolerances | None = None):
     spacing. Endpoint samples have no centered neighbor and are skipped.
     """
     tol = tol or DEFAULT_TOLERANCES
-    ts = _uniform_grid(curve, grid_size)
-    kappas, taus = _kappa_tau_grid(curve, ts, tol)
-    svals = _arclength_nodes(curve, ts)
-    ratios = taus / kappas
-    sigma = np.empty(len(ts) - 2)
-    for i in range(1, len(ts) - 1):
-        h_lo = svals[i] - svals[i - 1]
-        h_hi = svals[i + 1] - svals[i]
-        dr = (
-            ratios[i + 1] * h_lo * h_lo
-            + ratios[i] * (h_hi * h_hi - h_lo * h_lo)
-            - ratios[i - 1] * h_hi * h_hi
-        ) / (h_hi * h_lo * (h_hi + h_lo))
-        k2 = kappas[i] * kappas[i]
-        sigma[i - 1] = (k2 / (k2 + taus[i] * taus[i]) ** 1.5) * dr
-    stat = constancy_stat(sigma, floor=SIGMA_FLOOR)
-    return stat.rel_dev <= tol.constancy_tol, stat
+    ts, frames = frame_grid(curve, grid_size, tol)
+    return slant_of(curve, ts, frames, tol)
 
 
 def bertrand_test(curve_a, curve_b, grid_size: int = 256, tol: Tolerances | None = None):
@@ -171,20 +160,12 @@ def bertrand_test(curve_a, curve_b, grid_size: int = 256, tol: Tolerances | None
     within vector_tol of 1. The test is symmetric in its arguments.
     """
     tol = tol or DEFAULT_TOLERANCES
-    slack = 1e-9 * max(1.0, curve_a.span)
-    if (
-        abs(curve_a.t_lo - curve_b.t_lo) > slack
-        or abs(curve_a.t_hi - curve_b.t_hi) > slack
-    ):
+    if not same_domain(curve_a.domain, curve_b.domain):
         raise DomainMismatch(
             f"domains [{curve_a.t_lo}, {curve_a.t_hi}] and [{curve_b.t_lo}, {curve_b.t_hi}] differ"
         )
-    ts = _uniform_grid(curve_a, grid_size)
-    dots = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        na = frame_at(curve_a, t, tol).N
-        nb = frame_at(curve_b, t, tol).N
-        dots[i] = abs(float(np.dot(na, nb)))
+    ts, frames_a = frame_grid(curve_a, grid_size, tol)
+    dots = np.abs(np.sum(frames_a.N * frame_at(curve_b, ts, tol).N, axis=1))
     stat = constancy_stat(dots)
     return bool(np.min(dots) >= 1.0 - tol.vector_tol), stat
 
@@ -207,24 +188,22 @@ class HelixClassification:
 def classify_curve(curve, grid_size: int = 256, tol: Tolerances | None = None) -> HelixClassification:
     """Run the Lancret, circular, and slant tests and assemble the result.
 
-    A circular helix is a general helix whose curvature and torsion are each
-    constant. theta and axis are populated only for general helices.
+    All three tests read one frame grid. A circular helix is a general helix
+    whose curvature and torsion are each constant. theta and axis are
+    populated only for general helices.
     """
     tol = tol or DEFAULT_TOLERANCES
-    ts = _uniform_grid(curve, grid_size)
-    kappas, taus = _kappa_tau_grid(curve, ts, tol)
-    kappa_stat = constancy_stat(kappas)
-    tau_stat = constancy_stat(taus)
-    is_general, theta, ratio_stat = lancret_test(curve, grid_size, tol)
-    is_slant, sigma_stat = slant_test(curve, grid_size, tol)
+    ts, frames = frame_grid(curve, grid_size, tol)
+    kappa_stat = constancy_stat(frames.kappa)
+    tau_stat = constancy_stat(frames.tau)
+    is_general, theta, ratio_stat = lancret_of(frames, tol)
+    is_slant, sigma_stat = slant_of(curve, ts, frames, tol)
     is_circular = bool(
         is_general
         and kappa_stat.rel_dev <= tol.constancy_tol
         and tau_stat.rel_dev <= tol.constancy_tol
     )
-    axis = None
-    if is_general:
-        axis, _ = helix_axis(curve, grid_size, tol)
+    axis = axis_of(frames, theta, ratio_stat, tol)[0] if is_general else None
     return HelixClassification(
         is_general_helix=bool(is_general),
         is_circular_helix=is_circular,

@@ -28,7 +28,7 @@ from .errors import (
     NotUnitSpeed,
     ThetaMismatch,
 )
-from .helix import helix_axis, lancret_test
+from .helix import axis_of, frame_grid, lancret_of
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 AXIS_MODES = ("unit", "paper_printed", "explicit")
@@ -102,14 +102,14 @@ class LiftedCurve(ParamCurve):
     def axis(self) -> np.ndarray:
         return self._axis
 
-    def _evaluate(self, t: float, order: int) -> np.ndarray:
+    def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
         if order == 0:
             return (
                 self._spec.offset
-                + self._sin * self._base.eval(t, 0)
-                + self._axis * ((t - self._spec.s0) * self._cos)
+                + self._sin * self._base.eval(ts, 0)
+                + self._axis * ((ts - self._spec.s0) * self._cos)[:, None]
             )
-        d = self._sin * self._base.eval(t, order)
+        d = self._sin * self._base.eval(ts, order)
         if order == 1:
             d = d + self._axis * self._cos
         return d
@@ -152,8 +152,7 @@ def lift_curve(
 
     if strict:
         ts = np.linspace(alpha.t_lo, alpha.t_hi, int(grid_size))
-        speeds = np.array([float(np.linalg.norm(alpha.eval(t, 1))) for t in ts])
-        worst = float(np.max(np.abs(speeds - 1.0)))
+        worst = float(np.max(np.abs(np.linalg.norm(alpha.eval(ts, 1), axis=1) - 1.0)))
         if worst > tol.vector_tol:
             raise NotUnitSpeed(
                 f"speed deviates from 1 by {worst:.3e}; reparameterize by arc length first"
@@ -162,7 +161,8 @@ def lift_curve(
     if spec.axis_mode == "explicit":
         axis = spec.axis
     else:
-        is_helix, theta_measured, ratio_stat = lancret_test(alpha, grid_size, tol)
+        frames = frame_grid(alpha, grid_size, tol)[1]
+        is_helix, theta_measured, ratio_stat = lancret_of(frames, tol)
         if not is_helix:
             raise NotAHelix(
                 f"kappa/tau relative deviation {ratio_stat.rel_dev:.3e} exceeds tolerance"
@@ -171,7 +171,7 @@ def lift_curve(
             raise ThetaMismatch(
                 f"spec theta {spec.theta} vs measured helix angle {theta_measured}"
             )
-        unit_axis, _ = helix_axis(alpha, grid_size, tol)
+        unit_axis, _ = axis_of(frames, theta_measured, ratio_stat, tol)
         axis = unit_axis if spec.axis_mode == "unit" else 2.0 * unit_axis
 
     return LiftedCurve(alpha, spec, axis)

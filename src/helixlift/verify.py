@@ -16,8 +16,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import fixtures
-from .errors import DegenerateFrame, StencilOutOfDomain, ZeroSpeed
-from .frenet import FrenetFrame, frame_at, reparam_by_arclength
+from .curves import outside
+from .errors import StencilOutOfDomain
+from .frenet import (
+    FrenetFrame,
+    frame_at,
+    frames_from_derivatives,
+    reparam_by_arclength,
+    require_frames,
+)
 from .helix import constancy_stat, helix_axis, slant_test
 from .lift import LiftSpec, closed_form_lift_frame, lift_curve
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -28,39 +35,31 @@ _FLOOR = 1e-12
 def oracle_frame(curve, t, h, tol: Tolerances | None = None) -> FrenetFrame:
     """Frenet frame reconstructed from five position samples around t.
 
-    Derivative stencils are the second order central ones (three points for
-    orders 1 and 2, all five for order 3), so oracle-versus-exact deltas
-    shrink by about a factor of four when h is halved. Raises
-    StencilOutOfDomain when t +/- 2h leaves the curve domain.
+    t is one parameter or a 1-D array of them. Derivative stencils are the
+    second order central ones (three points for orders 1 and 2, all five for
+    order 3), so oracle-versus-exact deltas shrink by about a factor of four
+    when h is halved; the frame itself comes from the shared frame kernel.
+    Raises StencilOutOfDomain when t +/- 2h leaves the curve domain.
     """
     tol = tol or DEFAULT_TOLERANCES
-    t = float(t)
+    ts = np.asarray(t, dtype=float)
     h = float(h)
-    lo, hi = curve.domain
-    slack = 1e-9 * max(1.0, hi - lo)
-    if h <= 0:
+    if not h > 0:
         raise StencilOutOfDomain(f"step must be positive, got {h}")
-    if t - 2.0 * h < lo - slack or t + 2.0 * h > hi + slack:
+    lo, hi = curve.domain
+    bad = outside(ts - 2.0 * h, lo, hi) | outside(ts + 2.0 * h, lo, hi)
+    if bad.any():
+        u = ts[bad].flat[0]
         raise StencilOutOfDomain(
-            f"stencil [{t - 2 * h}, {t + 2 * h}] does not fit in [{lo}, {hi}]"
+            f"stencil [{u - 2 * h}, {u + 2 * h}] does not fit in [{lo}, {hi}]"
         )
-    f = [np.asarray(curve.eval(t + k * h, 0), dtype=float) for k in (-2, -1, 0, 1, 2)]
+    f = [curve.eval(ts + k * h, 0) for k in (-2, -1, 0, 1, 2)]
     d1 = (f[3] - f[1]) / (2.0 * h)
     d2 = (f[3] - 2.0 * f[2] + f[1]) / (h * h)
     d3 = (f[4] - 2.0 * f[3] + 2.0 * f[1] - f[0]) / (2.0 * h**3)
-    speed = float(np.linalg.norm(d1))
-    if speed <= tol.speed_tol:
-        raise ZeroSpeed(f"oracle speed {speed:.3e} at t={t} is degenerate")
-    cross = np.cross(d1, d2)
-    cross_norm = float(np.linalg.norm(cross))
-    if cross_norm <= tol.speed_tol:
-        raise DegenerateFrame(f"oracle |d1 x d2| = {cross_norm:.3e} at t={t} is degenerate")
-    T = d1 / speed
-    B = cross / cross_norm
-    N = np.cross(B, T)
-    kappa = cross_norm / speed**3
-    tau = float(np.dot(cross, d3)) / cross_norm**2
-    return FrenetFrame(T=T, N=N, B=B, kappa=kappa, tau=tau, speed=speed)
+    frame, exists = frames_from_derivatives(d1, d2, d3, tol)
+    require_frames(frame, exists, ts, tol)
+    return frame
 
 
 @dataclass(frozen=True)
@@ -167,13 +166,9 @@ def run_theorem_checks(
     h = float(oracle_step) if oracle_step is not None else _theorem_oracle_step(alpha.span)
     lo, hi = alpha.domain
     us = np.linspace(lo + 2.0 * h, hi - 2.0 * h, int(grid_size))
-
-    axis_dots = np.empty(len(us))
-    normal_dots = np.empty(len(us))
-    for i, u in enumerate(us):
-        of = oracle_frame(lifted, u, h, tol)
-        axis_dots[i] = float(np.dot(axis_unit, of.T))
-        normal_dots[i] = abs(float(np.dot(of.N, frame_at(alpha, u, tol).N)))
+    lifted_frames = oracle_frame(lifted, us, h, tol)
+    axis_dots = lifted_frames.T @ axis_unit
+    normal_dots = np.abs(np.sum(lifted_frames.N * frame_at(alpha, us, tol).N, axis=1))
 
     t1_stat = constancy_stat(axis_dots)
     theorem1 = TheoremResult(
@@ -214,44 +209,27 @@ def run_theorem_checks(
     )
 
 
-def _aligned_delta(printed_vecs, oracle_vecs):
-    """Worst component difference allowing one global sign flip."""
-    printed = np.asarray(printed_vecs, float)
-    oracle = np.asarray(oracle_vecs, float)
-    direct = float(np.max(np.abs(printed - oracle)))
-    flipped = float(np.max(np.abs(printed + oracle)))
-    return min(direct, flipped)
-
-
-def _vector_entry(claim_id, location, expr, printed_vecs, oracle_vecs, samples, tol, align=False):
-    if align:
-        delta = _aligned_delta(printed_vecs, oracle_vecs)
+def _entry(claim, printed, oracle, rule, samples, tol) -> ErrataEntry:
+    """One audited claim. rule "abs" takes the worst component difference,
+    "sign_free" the same allowing one global sign flip, and "rel" the worst
+    difference relative to the oracle value."""
+    claim_id, location, expr = claim
+    printed = np.asarray(printed, float)
+    oracle = np.asarray(oracle, float)
+    if rule == "rel":
+        delta = float(np.max(np.abs(printed - oracle) / np.maximum(np.abs(oracle), _FLOOR)))
     else:
-        delta = float(np.max(np.abs(np.asarray(printed_vecs) - np.asarray(oracle_vecs))))
+        delta = float(np.max(np.abs(printed - oracle)))
+        if rule == "sign_free":
+            delta = min(delta, float(np.max(np.abs(printed + oracle))))
     return ErrataEntry(
         claim_id=claim_id,
         printed_value=expr,
-        oracle_value=[[float(v) for v in vec] for vec in oracle_vecs],
+        oracle_value=oracle.tolist(),
         location=location,
         agrees=bool(delta <= tol.vector_tol),
         delta=delta,
-        printed_samples=[[float(v) for v in vec] for vec in printed_vecs],
-        sample_points=[float(s) for s in samples],
-    )
-
-
-def _scalar_entry(claim_id, location, expr, printed_vals, oracle_vals, samples, tol):
-    printed = np.asarray(printed_vals, float)
-    oracle = np.asarray(oracle_vals, float)
-    delta = float(np.max(np.abs(printed - oracle) / np.maximum(np.abs(oracle), _FLOOR)))
-    return ErrataEntry(
-        claim_id=claim_id,
-        printed_value=expr,
-        oracle_value=[float(v) for v in oracle],
-        location=location,
-        agrees=bool(delta <= tol.vector_tol),
-        delta=delta,
-        printed_samples=[float(v) for v in printed],
+        printed_samples=printed.tolist(),
         sample_points=[float(s) for s in samples],
     )
 
@@ -269,187 +247,75 @@ def run_paper_suite(tol: Tolerances | None = None, grid_size: int = 256) -> Veri
     samples = (0.0, 0.5, 1.0, 2.0)
     literal = fixtures.paper_cubic()
     h_literal = 1e-3
-    entries = []
 
-    oracle_lit = {s: oracle_frame(literal, s, h_literal, tol) for s in samples}
-    exact_lit = {s: frame_at(literal, s, tol) for s in samples}
+    def printed(formula):
+        return [formula(s) for s in samples]
 
-    entries.append(
-        _vector_entry(
-            "example.T",
-            "worked example, tangent formula",
-            "T(s) = (2, 2s, s^2) / (s^2 + 2)",
-            [fixtures.printed_tangent(s) for s in samples],
-            [oracle_lit[s].T for s in samples],
-            samples,
-            tol,
-        )
-    )
-    entries.append(
-        _vector_entry(
-            "example.B",
-            "worked example, binormal formula",
-            "B(s) = (s^2, -2s, 2) / (s^2 + 2)",
-            [fixtures.printed_binormal(s) for s in samples],
-            [oracle_lit[s].B for s in samples],
-            samples,
-            tol,
-        )
-    )
-    entries.append(
-        _scalar_entry(
-            "example.kappa",
-            "worked example, curvature formula",
-            "kappa(s) = 2 / (3 (s^2 + 2))",
-            [fixtures.printed_kappa(s) for s in samples],
-            [oracle_lit[s].kappa for s in samples],
-            samples,
-            tol,
-        )
-    )
-    entries.append(
-        _scalar_entry(
-            "example.tau",
-            "worked example, torsion formula",
-            "tau(s) = 2 / (3 (s^2 + 2))",
-            [fixtures.printed_tau(s) for s in samples],
-            [oracle_lit[s].tau for s in samples],
-            samples,
-            tol,
-        )
-    )
-    entries.append(
-        _vector_entry(
-            "example.N",
-            "worked example, principal normal formula",
-            "N(s) = (-2s^3 - 4s, s^4 - 4s^2 - 8, 2s^3 + 4s) / (s^2 + 2)^2",
-            [fixtures.printed_normal(s) for s in samples],
-            [oracle_lit[s].N for s in samples],
-            samples,
-            tol,
-            align=True,
-        )
-    )
-
+    oracle_lit = oracle_frame(literal, samples, h_literal, tol)
+    exact_lit = frame_at(literal, samples, tol)
     axis_unit, _ = helix_axis(literal, tol=tol)
-    printed_axis_norms = [float(np.linalg.norm(fixtures.printed_axis(s))) for s in samples]
-    entries.append(
-        _scalar_entry(
-            "example.axis_norm",
-            "worked example, helix axis",
-            "axis = ((2 sqrt2 + sqrt2 s^2)/(s^2+2), 0, (2 sqrt2 + sqrt2 s^2)/(s^2+2)), norm 2",
-            printed_axis_norms,
-            [float(np.linalg.norm(axis_unit))] * len(samples),
-            samples,
-            tol,
-        )
-    )
-
     lifted_literal = lift_curve(
         literal, LiftSpec(theta=theta, axis_mode="paper_printed"), tol=tol, strict=False
     )
-    entries.append(
-        _vector_entry(
-            "example.alphabar",
-            "worked example, lifted curve components",
-            "alphabar(s) = (((3 sqrt2 + 1)s^3 + (6 sqrt2 + 2)s)/(s^2+2), "
-            "(3 sqrt2 / 2)s^2, ((sqrt2/2)s^5 + (sqrt2+1)s^3 + 2s)/(s^2+2))",
-            [fixtures.printed_lift(s) for s in samples],
-            [lifted_literal.eval(s, 0) for s in samples],
-            samples,
-            tol,
-        )
-    )
 
     alpha_u = reparam_by_arclength(literal, grid_size=512, tol=tol)
-    length_map = alpha_u.length_map
     lifted_u = lift_curve(alpha_u, LiftSpec(theta=theta), tol=tol, strict=True)
     h_main = _theorem_oracle_step(alpha_u.span)
-    u_of_s = {s: length_map.forward(s) for s in samples}
-    oracle_bar = {s: oracle_frame(lifted_u, u_of_s[s], h_main, tol) for s in samples}
-
-    entries.append(
-        _vector_entry(
-            "example.Tbar",
-            "worked example, lifted tangent formula",
-            "Tbar(s) = (1 + 2 sqrt2/(s^2+2), 2 sqrt2 s/(s^2+2), 1 + sqrt2 s^2/(s^2+2)) "
-            "/ sqrt(4 + 2 sqrt2)",
-            [fixtures.printed_lift_tangent(s) for s in samples],
-            [oracle_bar[s].T for s in samples],
-            samples,
-            tol,
-        )
-    )
-    entries.append(
-        _vector_entry(
-            "example.Bbar",
-            "worked example, lifted binormal formula",
-            "Bbar(s) = (6(s^2+2) + 2 sqrt2 s^2/(s^2+2), 6s(s^2+2) - 4 sqrt2 s/(s^2+2), "
-            "3s^2(s^2+2) - 4 sqrt2/(s^2+2)) / sqrt(9(s^2+2)^4 + 8)",
-            [fixtures.printed_lift_binormal(s) for s in samples],
-            [oracle_bar[s].B for s in samples],
-            samples,
-            tol,
-            align=True,
-        )
-    )
-    entries.append(
-        _vector_entry(
-            "example.Nbar",
-            "worked example, lifted normal formula",
-            "Nbar(s) = ((4 + 2 sqrt2 - 3(s^2+2)^2) / (sqrt(4 + 2 sqrt2) "
-            "sqrt(9(s^2+2)^4 + 8))) N_printed(s)",
-            [fixtures.printed_lift_normal(s) for s in samples],
-            [oracle_bar[s].N for s in samples],
-            samples,
-            tol,
-            align=True,
-        )
-    )
+    oracle_bar = oracle_frame(lifted_u, alpha_u.length_map.forward(samples), h_main, tol)
 
     # Printed binormal coefficient pair (lambda, mu) and normal factor c,
     # evaluated at the oracle-confirmed kappa and tau of the base curve.
-    printed_pairs = []
-    oracle_pairs = []
-    printed_cs = []
-    oracle_cs = []
-    for s in samples:
-        base_frame = exact_lit[s]
-        cf = closed_form_lift_frame(base_frame.kappa, base_frame.tau, theta)
-        printed_pairs.append([cf.bbar_T_coeff, cf.bbar_B_coeff])
-        oracle_pairs.append(
-            [
-                float(np.dot(oracle_bar[s].B, base_frame.T)),
-                float(np.dot(oracle_bar[s].B, base_frame.B)),
-            ]
-        )
-        printed_cs.append(cf.c)
-        oracle_cs.append(float(np.dot(oracle_bar[s].N, base_frame.N)))
-    entries.append(
-        _vector_entry(
-            "closed_form.lambda_mu",
-            "closed form lifted binormal coefficients",
-            "Bbar = (lambda T + mu B)/sqrt(lambda^2 + mu^2), "
-            "lambda = cos sin^2 + cos^3 sin, mu = (sin + cos^2) kappa - lambda tau",
-            printed_pairs,
-            oracle_pairs,
-            samples,
-            tol,
-            align=True,
-        )
+    closed = [
+        closed_form_lift_frame(kappa, tau, theta)
+        for kappa, tau in zip(exact_lit.kappa, exact_lit.tau)
+    ]
+    oracle_pairs = np.stack(
+        [np.sum(oracle_bar.B * exact_lit.T, axis=1), np.sum(oracle_bar.B * exact_lit.B, axis=1)],
+        axis=1,
     )
-    entries.append(
-        _scalar_entry(
-            "closed_form.c",
-            "closed form lifted normal factor",
-            "c = (mu (sin + cos^2) - lambda cos sin) / "
-            "(sqrt(lambda^2 + mu^2) sqrt(1 + cos sin2))",
-            printed_cs,
-            oracle_cs,
-            samples,
-            tol,
-        )
-    )
+
+    claims = [
+        (("example.T", "worked example, tangent formula", "T(s) = (2, 2s, s^2) / (s^2 + 2)"),
+         printed(fixtures.printed_tangent), oracle_lit.T, "abs"),
+        (("example.B", "worked example, binormal formula", "B(s) = (s^2, -2s, 2) / (s^2 + 2)"),
+         printed(fixtures.printed_binormal), oracle_lit.B, "abs"),
+        (("example.kappa", "worked example, curvature formula", "kappa(s) = 2 / (3 (s^2 + 2))"),
+         printed(fixtures.printed_kappa), oracle_lit.kappa, "rel"),
+        (("example.tau", "worked example, torsion formula", "tau(s) = 2 / (3 (s^2 + 2))"),
+         printed(fixtures.printed_tau), oracle_lit.tau, "rel"),
+        (("example.N", "worked example, principal normal formula",
+          "N(s) = (-2s^3 - 4s, s^4 - 4s^2 - 8, 2s^3 + 4s) / (s^2 + 2)^2"),
+         printed(fixtures.printed_normal), oracle_lit.N, "sign_free"),
+        (("example.axis_norm", "worked example, helix axis",
+          "axis = ((2 sqrt2 + sqrt2 s^2)/(s^2+2), 0, (2 sqrt2 + sqrt2 s^2)/(s^2+2)), norm 2"),
+         [float(np.linalg.norm(v)) for v in printed(fixtures.printed_axis)],
+         [float(np.linalg.norm(axis_unit))] * len(samples), "rel"),
+        (("example.alphabar", "worked example, lifted curve components",
+          "alphabar(s) = (((3 sqrt2 + 1)s^3 + (6 sqrt2 + 2)s)/(s^2+2), "
+          "(3 sqrt2 / 2)s^2, ((sqrt2/2)s^5 + (sqrt2+1)s^3 + 2s)/(s^2+2))"),
+         printed(fixtures.printed_lift), lifted_literal.eval(samples, 0), "abs"),
+        (("example.Tbar", "worked example, lifted tangent formula",
+          "Tbar(s) = (1 + 2 sqrt2/(s^2+2), 2 sqrt2 s/(s^2+2), 1 + sqrt2 s^2/(s^2+2)) "
+          "/ sqrt(4 + 2 sqrt2)"),
+         printed(fixtures.printed_lift_tangent), oracle_bar.T, "abs"),
+        (("example.Bbar", "worked example, lifted binormal formula",
+          "Bbar(s) = (6(s^2+2) + 2 sqrt2 s^2/(s^2+2), 6s(s^2+2) - 4 sqrt2 s/(s^2+2), "
+          "3s^2(s^2+2) - 4 sqrt2/(s^2+2)) / sqrt(9(s^2+2)^4 + 8)"),
+         printed(fixtures.printed_lift_binormal), oracle_bar.B, "sign_free"),
+        (("example.Nbar", "worked example, lifted normal formula",
+          "Nbar(s) = ((4 + 2 sqrt2 - 3(s^2+2)^2) / (sqrt(4 + 2 sqrt2) "
+          "sqrt(9(s^2+2)^4 + 8))) N_printed(s)"),
+         printed(fixtures.printed_lift_normal), oracle_bar.N, "sign_free"),
+        (("closed_form.lambda_mu", "closed form lifted binormal coefficients",
+          "Bbar = (lambda T + mu B)/sqrt(lambda^2 + mu^2), "
+          "lambda = cos sin^2 + cos^3 sin, mu = (sin + cos^2) kappa - lambda tau"),
+         [[cf.bbar_T_coeff, cf.bbar_B_coeff] for cf in closed], oracle_pairs, "sign_free"),
+        (("closed_form.c", "closed form lifted normal factor",
+          "c = (mu (sin + cos^2) - lambda cos sin) / "
+          "(sqrt(lambda^2 + mu^2) sqrt(1 + cos sin2))"),
+         [cf.c for cf in closed], np.sum(oracle_bar.N * exact_lit.N, axis=1), "rel"),
+    ]
+    entries = [_entry(*claim, samples, tol) for claim in claims]
 
     main = run_theorem_checks(alpha_u, LiftSpec(theta=theta), grid_size=100, tol=tol)
 

@@ -1,0 +1,168 @@
+"""Array evaluation: every kind and layer agrees with its per-point calls."""
+
+import json
+import math
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+from scipy.integrate import quad
+
+from helixlift import (
+    CallableCurve,
+    LiftSpec,
+    OutOfDomain,
+    PolynomialCurve,
+    Polyline,
+    arc_length,
+    classify_curve,
+    cli,
+    frame_at,
+    lift_curve,
+    oracle_frame,
+    reparam_by_arclength,
+    transform_curve,
+)
+from helixlift.fixtures import circular_helix, paper_cubic
+
+EPS = np.finfo(float).eps
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _polyline():
+    knots = np.linspace(0.0, 3.0, 9)
+    return Polyline(np.stack([np.cos(knots), np.sin(knots), 0.5 * knots], axis=1), knots)
+
+
+CURVES = {
+    "polynomial": paper_cubic,
+    "circular_helix": lambda: circular_helix(2.0, 0.5),
+    "polyline": _polyline,
+    "transformed": lambda: transform_curve(
+        paper_cubic(), rotation=_rotation(0.7), translation=[1.0, -2.0, 0.5], scale=2.0
+    ),
+    "lifted": lambda: lift_curve(
+        paper_cubic(), LiftSpec(theta=math.pi / 4, axis_mode="paper_printed"), strict=False
+    ),
+    "arclength_reparam": lambda: reparam_by_arclength(circular_helix(1.0, 1.0)),
+    "callable": lambda: CallableCurve(
+        lambda t: np.array([math.sin(t), math.cos(2 * t), t]), domain=(0.0, 2.0)
+    ),
+}
+
+
+def _close(got, want):
+    # Same arithmetic on both sides; only vectorized transcendentals and
+    # matrix products may round differently, by a few ulps.
+    npt.assert_allclose(got, want, rtol=4 * EPS, atol=4 * EPS * max(1.0, np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("kind", sorted(CURVES))
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_array_eval_matches_scalar_calls(kind, order):
+    curve = CURVES[kind]()
+    assert curve.kind == kind
+    ts = np.linspace(curve.t_lo, curve.t_hi, 11)
+    got = curve.eval(ts, order)
+    assert got.shape == (11, 3)
+    assert curve.eval(ts[3], order).shape == (3,)
+    _close(got, np.stack([curve.eval(float(t), order) for t in ts]))
+
+
+def test_one_bad_entry_raises_out_of_domain():
+    curve = paper_cubic()
+    with pytest.raises(OutOfDomain) as exc:
+        curve.eval(np.array([0.0, 1.0, 3.5, 2.0]), 1)
+    assert exc.value.t == 3.5
+    with pytest.raises(OutOfDomain):
+        curve.eval(np.array([0.0, math.nan]), 0)
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "arclength_reparam", "lifted"])
+def test_frame_at_on_arrays_matches_per_point(kind):
+    curve = CURVES[kind]()
+    ts = np.linspace(curve.t_lo + 0.01 * curve.span, curve.t_hi, 7)
+    grid = frame_at(curve, ts)
+    for i, t in enumerate(ts):
+        one = frame_at(curve, float(t))
+        for name in ("T", "N", "B", "kappa", "tau", "speed"):
+            _close(getattr(grid, name)[i], getattr(one, name))
+
+
+def test_oracle_frame_on_arrays_matches_per_point():
+    curve = reparam_by_arclength(paper_cubic())
+    h = 1e-3
+    us = np.linspace(curve.t_lo + 2 * h, curve.t_hi - 2 * h, 9)
+    grid = oracle_frame(curve, us, h)
+    for i, u in enumerate(us):
+        one = oracle_frame(curve, float(u), h)
+        for name in ("T", "N", "B", "kappa", "tau", "speed"):
+            _close(getattr(grid, name)[i], getattr(one, name))
+
+
+def test_sample_frames_flags_the_polyline_end_rows(tmp_path, capsys):
+    # The natural spline has a'' = 0 at both ends, so exactly the end rows
+    # have no frame; every interior row carries a unit tangent.
+    rng = np.random.default_rng(7)
+    knots = np.cumsum(rng.uniform(0.5, 1.5, 12)) - 0.5
+    points = np.stack([np.cos(knots), np.sin(knots), 0.3 * knots], axis=1)
+    points += rng.uniform(-1e-3, 1e-3, points.shape)
+    spec = tmp_path / "poly.json"
+    spec.write_text(json.dumps({"kind": "polyline", "knots": knots.tolist(),
+                                "points": points.tolist()}))
+    assert cli.main(["sample", "--spec", str(spec), "--n", "9", "--frames"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["1"] + ["0"] * 7 + ["1"]
+    for row in rows[1:-1]:
+        assert abs(math.hypot(*(float(v) for v in row[4:7])) - 1.0) < 1e-12
+
+
+class CountingPolyline(Polyline):
+    points_evaluated = 0
+
+    def _evaluate(self, ts, order):
+        self.points_evaluated += len(ts)
+        return super()._evaluate(ts, order)
+
+
+@pytest.mark.parametrize("seed,scale", [(1, 1.0), (2, 1.0), (3, 1.0), (1, 1e9)])
+def test_polyline_arc_length_matches_quad(seed, scale):
+    # The spline speed has kinks at the knots; a fixed 8-point Gauss-Legendre
+    # rule on a uniform 256-cell grid is off by up to ~1e-8 here, so the
+    # integrator has to refine adaptively. At scale 1e9 round off exceeds the
+    # absolute tolerance at every level; the open-panel cap must stop the
+    # refinement (without it this needs gigabytes) and keep the accuracy.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(6, 15))
+    knots = np.cumsum(rng.uniform(0.2, 1.0, m))
+    curve = CountingPolyline(scale * rng.normal(size=(m, 3)), knots)
+    speed = lambda t: float(np.linalg.norm(curve.eval(t, 1)))
+    want, _ = quad(speed, knots[0], knots[-1], points=knots[1:-1], limit=500,
+                   epsabs=0.0, epsrel=1e-13)
+    curve.points_evaluated = 0
+    got = arc_length(curve, knots[0], knots[-1])
+    assert abs(got - want) <= 1e-11 * want
+    assert curve.points_evaluated < 4_000_000
+
+
+class CountingCubic(PolynomialCurve):
+    def __init__(self):
+        super().__init__([[0, 6], [0, 0, 3], [0, 0, 0, 1]], (-3.0, 3.0))
+        self.calls = 0
+
+    def _evaluate(self, ts, order):
+        self.calls += 1
+        return super()._evaluate(ts, order)
+
+
+def test_classify_work_does_not_grow_with_the_grid():
+    counts = []
+    for grid_size in (64, 256):
+        curve = CountingCubic()
+        classify_curve(curve, grid_size=grid_size)
+        counts.append(curve.calls)
+    assert counts[0] == counts[1]

@@ -224,3 +224,42 @@ def test_verify_paper_exit_three_on_theorem_failure(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 3
     assert "theorem1: FAIL" in out
+
+
+def _deep_lifted_spec(depth):
+    doc = {"kind": "circular_helix", "radius": 1.0, "pitch": 1.0, "domain": [0.0, 1.0]}
+    for _ in range(depth):
+        doc = {"kind": "lifted", "theta": 0.5, "base": doc}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "polynomial", "domain": [0, 1], "coeffs": [["a"], [0, 1], [0, 0, 1]]},
+        {"kind": "polyline", "knots": [0, 1, 2], "points": [[0, 0, 0], [1, "x", 2], [2, 0, 1]]},
+        {"kind": "lifted", "theta": 0.5, "offset": [1, "q", 2],
+         "base": {"kind": "circular_helix", "radius": 1, "pitch": 1, "domain": [0, 1]}},
+        _deep_lifted_spec(900),
+    ],
+    ids=["coeffs", "polyline_point", "offset", "nested_900"],
+)
+def test_malformed_spec_values_exit_one_with_one_line(tmp_path, capsys, doc):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", "--spec", str(spec))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_overflowing_geometry_exits_two_without_nan(tmp_path, capsys):
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({
+        "kind": "polynomial", "domain": [-3, 3],
+        "coeffs": [[0, 1e308], [0, 0, 1e308], [0, 0, 0, 1e308]],
+    }))
+    code, out, err = run(capsys, "classify", "--spec", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("degenerate geometry:") and err.count("\n") == 1
