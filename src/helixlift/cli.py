@@ -184,13 +184,14 @@ def _cmd_sample(args) -> int:
     if args.n < 2:
         raise InvalidField(f"--n must be at least 2, got {args.n}")
     ts = np.linspace(curve.t_lo, curve.t_hi, args.n)
-    columns = np.column_stack([ts, curve.eval(ts, 0)])
+    derivs = curve.jet(ts, (0, 1, 2, 3) if args.frames else (0,))
+    columns = np.column_stack([ts, derivs[0]])
 
     header = ["t", "x", "y", "z"]
     if args.frames:
         header += ["Tx", "Ty", "Tz", "Nx", "Ny", "Nz", "Bx", "By", "Bz",
                    "kappa", "tau", "degenerate"]
-        fr, exists = frames_from_derivatives(*(curve.eval(ts, k) for k in (1, 2, 3)), tol)
+        fr, exists = frames_from_derivatives(*derivs[1:], tol)
         frame_columns = np.column_stack([fr.T, fr.N, fr.B, fr.kappa, fr.tau])
     lines = [",".join(header)]
     for i, values in enumerate(columns):

@@ -57,12 +57,13 @@ def as_vec3(value, field: str = "vector") -> np.ndarray:
 class ParamCurve:
     """A curve over a closed parameter interval.
 
-    Subclasses either implement ``_evaluate(ts, order)`` for all orders 0..3
+    Leaf kinds either implement ``_evaluate(ts, order)`` for all orders 0..3
     on a 1-D parameter array, returning shape (n, 3), or implement
     ``_position(t)`` for one parameter alone and inherit the finite
-    difference derivative path. Instances are immutable after construction
-    and safe to evaluate concurrently; results do not depend on evaluation
-    order.
+    difference derivative path. Kinds built on a base curve implement
+    ``_jet(ts, orders)``, which returns one such array per order. Instances
+    are immutable after construction and safe to evaluate concurrently;
+    results do not depend on evaluation order.
     """
 
     kind: str = "opaque"
@@ -111,15 +112,25 @@ class ParamCurve:
         first offending entry, for parameters outside the closed interval
         (see ``outside`` for the round off slack).
         """
-        if order not in (0, 1, 2, 3):
-            raise UnsupportedOrder(order)
+        return self.jet(t, (order,))[0]
+
+    def jet(self, t, orders) -> list:
+        """One array per order in ``orders``, each as ``eval(t, order)`` returns
+        it, from one domain check and, for kinds built on a base, one base jet."""
+        orders = tuple(orders)
+        for order in orders:
+            if order not in (0, 1, 2, 3):
+                raise UnsupportedOrder(order)
         ts = np.asarray(t, dtype=float)
         lo, hi = self._t_lo, self._t_hi
         bad = outside(ts, lo, hi)
         if bad.any():
             raise OutOfDomain(float(ts[bad].flat[0]), lo, hi)
-        out = self._evaluate(np.clip(np.atleast_1d(ts), lo, hi), int(order))
-        return out if ts.ndim else out[0]
+        outs = self._jet(np.clip(np.atleast_1d(ts), lo, hi), tuple(map(int, orders)))
+        return outs if ts.ndim else [out[0] for out in outs]
+
+    def _jet(self, ts: np.ndarray, orders: tuple) -> list:
+        return [self._evaluate(ts, order) for order in orders]
 
     def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
         return np.array(
@@ -298,11 +309,9 @@ class TransformedCurve(ParamCurve):
     def base(self) -> ParamCurve:
         return self._base
 
-    def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
-        out = self._scale * (self._base.eval(ts, order) @ self._rotation.T)
-        if order == 0:
-            out = out + self._translation
-        return out
+    def _jet(self, ts: np.ndarray, orders: tuple) -> list:
+        outs = [self._scale * (d @ self._rotation.T) for d in self._base.jet(ts, orders)]
+        return [out + self._translation if k == 0 else out for k, out in zip(orders, outs)]
 
 
 def transform_curve(base, rotation=None, translation=None, scale=1.0) -> TransformedCurve:
@@ -394,10 +403,9 @@ def regularity_check(curve, grid_size=256, tol: Tolerances | None = None) -> Reg
     grid_size = int(grid_size)
     if grid_size < 2:
         raise InvalidField(f"grid_size must be at least 2, got {grid_size}")
-    ts = np.linspace(curve.t_lo, curve.t_hi, grid_size)
-    d1 = curve.eval(ts, 1)
+    d1, d2 = curve.jet(np.linspace(curve.t_lo, curve.t_hi, grid_size), (1, 2))
     min_speed = float(np.min(np.linalg.norm(d1, axis=1)))
-    min_cross = float(np.min(np.linalg.norm(np.cross(d1, curve.eval(ts, 2)), axis=1)))
+    min_cross = float(np.min(np.linalg.norm(np.cross(d1, d2), axis=1)))
     return RegularityReport(
         min_speed=min_speed,
         min_cross_norm=min_cross,

@@ -15,7 +15,9 @@ Simpson integrator that refines all panels together, and the unit speed
 reparameterization inverts the cumulative arc length map with a bracketed
 Newton iteration run on all queries at once. Nothing is cached. The
 reparameterized curve differentiates through the chain rule, so its
-derivatives are as exact as the base curve's.
+derivatives are as exact as the base curve's. Frames evaluate the first
+three derivatives as one ``jet``, which on a reparameterized curve solves
+the arc length inverse once for all three orders.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def frame_at(curve, t, tol: Tolerances | None = None) -> FrenetFrame:
     where the frame does not exist.
     """
     tol = tol or DEFAULT_TOLERANCES
-    frame, exists = frames_from_derivatives(*(curve.eval(t, k) for k in (1, 2, 3)), tol)
+    frame, exists = frames_from_derivatives(*curve.jet(t, (1, 2, 3)), tol)
     require_frames(frame, exists, t, tol)
     return frame
 
@@ -250,7 +252,8 @@ class ReparamCurve(ParamCurve):
     curve at t = inverse(s); derivatives apply the chain rule with the exact
     derivatives of the inverse map (dt/ds = 1/v and its derivatives), so no
     finite differencing is involved and the speed is exactly 1 by
-    construction.
+    construction. A jet solves the inverse once and takes every base order
+    it needs from one base jet, so a frame costs one inverse, not three.
     """
 
     kind = "arclength_reparam"
@@ -269,29 +272,30 @@ class ReparamCurve(ParamCurve):
     def length_map(self) -> ArcLengthMap:
         return self._map
 
-    def _evaluate(self, s: np.ndarray, order: int) -> np.ndarray:
+    def _jet(self, s: np.ndarray, orders: tuple) -> list:
         # s is already a 1-D array; inverse() would only add shape handling.
+        # Order k needs base orders 1..k; order 0 needs only the position.
         t = self._map._inverse(s)
-        if order == 0:
-            return self._base.eval(t, 0)
-        b1 = self._base.eval(t, 1)
-        # Column vectors, so the chain rule below broadcasts over the rows.
-        v = np.linalg.norm(b1, axis=1, keepdims=True)
-        slow = np.flatnonzero(v <= self._tol.speed_tol)
-        if slow.size:
-            raise ZeroSpeed(f"base speed vanishes at t={t[slow[0]]}")
-        t1 = 1.0 / v
-        if order == 1:
-            return b1 * t1
-        b2 = self._base.eval(t, 2)
-        vdot = np.sum(b1 * b2, axis=1, keepdims=True) / v
-        t2 = -vdot / v**3
-        if order == 2:
-            return b2 * (t1 * t1) + b1 * t2
-        b3 = self._base.eval(t, 3)
-        vddot = np.sum(b2 * b2 + b1 * b3, axis=1, keepdims=True) / v - vdot * vdot / v
-        t3 = (3.0 * vdot * vdot - v * vddot) / v**5
-        return b3 * t1**3 + 3.0 * b2 * t1 * t2 + b1 * t3
+        needed = range(min(min(orders), 1), max(orders) + 1)
+        b = dict(zip(needed, self._base.jet(t, needed)))
+        out = {0: b.get(0)}
+        if 1 in b:
+            # Column vectors, so the chain rule below broadcasts over the rows.
+            v = np.linalg.norm(b[1], axis=1, keepdims=True)
+            slow = np.flatnonzero(v <= self._tol.speed_tol)
+            if slow.size:
+                raise ZeroSpeed(f"base speed vanishes at t={t[slow[0]]}")
+            t1 = 1.0 / v
+            out[1] = b[1] * t1
+        if 2 in b:
+            vdot = np.sum(b[1] * b[2], axis=1, keepdims=True) / v
+            t2 = -vdot / v**3
+            out[2] = b[2] * (t1 * t1) + b[1] * t2
+        if 3 in b:
+            vddot = np.sum(b[2] * b[2] + b[1] * b[3], axis=1, keepdims=True) / v - vdot * vdot / v
+            t3 = (3.0 * vdot * vdot - v * vddot) / v**5
+            out[3] = b[3] * t1**3 + 3.0 * b[2] * t1 * t2 + b[1] * t3
+        return [out[k] for k in orders]
 
 
 def reparam_by_arclength(curve, grid_size: int = 512, tol: Tolerances | None = None) -> ReparamCurve:

@@ -57,15 +57,20 @@ def constancy_stat(values, floor: float = STAT_FLOOR) -> ConstancyStat:
     )
 
 
+def uniform_grid(curve, grid_size) -> np.ndarray:
+    """grid_size evenly spaced parameters over the domain, at least 3."""
+    grid_size = int(grid_size)
+    if grid_size < 3:
+        raise InvalidField(f"grid_size must be at least 3, got {grid_size}")
+    return np.linspace(curve.t_lo, curve.t_hi, grid_size)
+
+
 def frame_grid(curve, grid_size, tol: Tolerances):
     """The uniform grid of grid_size parameters and the frames on it.
 
     Raises ZeroSpeed or DegenerateFrame for the first sample without a frame.
     """
-    grid_size = int(grid_size)
-    if grid_size < 3:
-        raise InvalidField(f"grid_size must be at least 3, got {grid_size}")
-    ts = np.linspace(curve.t_lo, curve.t_hi, grid_size)
+    ts = uniform_grid(curve, grid_size)
     return ts, frame_at(curve, ts, tol)
 
 

@@ -28,7 +28,8 @@ from .errors import (
     NotUnitSpeed,
     ThetaMismatch,
 )
-from .helix import axis_of, frame_grid, lancret_of
+from .frenet import frames_from_derivatives, require_frames
+from .helix import axis_of, lancret_of, uniform_grid
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 AXIS_MODES = ("unit", "paper_printed", "explicit")
@@ -70,7 +71,7 @@ class LiftSpec:
             if float(np.linalg.norm(self.axis)) == 0.0:
                 raise InvalidField("explicit axis must be nonzero")
         elif self.axis is not None:
-            raise InvalidField(f"axis field is only allowed with axis_mode 'explicit'")
+            raise InvalidField("axis field is only allowed with axis_mode 'explicit'")
 
     @property
     def is_degenerate(self) -> bool:
@@ -102,17 +103,15 @@ class LiftedCurve(ParamCurve):
     def axis(self) -> np.ndarray:
         return self._axis
 
-    def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
-        if order == 0:
-            return (
-                self._spec.offset
-                + self._sin * self._base.eval(ts, 0)
-                + self._axis * ((ts - self._spec.s0) * self._cos)[:, None]
-            )
-        d = self._sin * self._base.eval(ts, order)
-        if order == 1:
-            d = d + self._axis * self._cos
-        return d
+    def _jet(self, ts: np.ndarray, orders: tuple) -> list:
+        outs = [self._sin * d for d in self._base.jet(ts, orders)]
+        for i, k in enumerate(orders):
+            if k == 0:
+                line = self._axis * ((ts - self._spec.s0) * self._cos)[:, None]
+                outs[i] = self._spec.offset + outs[i] + line
+            elif k == 1:
+                outs[i] = outs[i] + self._axis * self._cos
+        return outs
 
 
 def lift_curve(
@@ -150,9 +149,13 @@ def lift_curve(
             axis = spec.axis if spec.axis is not None else np.zeros(3)
         return LiftedCurve(alpha, spec, axis)
 
+    if strict or spec.axis_mode != "explicit":
+        # One jet serves the unit speed gate and the frame grid.
+        ts = uniform_grid(alpha, grid_size)
+        frames, exists = frames_from_derivatives(*alpha.jet(ts, (1, 2, 3)), tol)
+
     if strict:
-        ts = np.linspace(alpha.t_lo, alpha.t_hi, int(grid_size))
-        worst = float(np.max(np.abs(np.linalg.norm(alpha.eval(ts, 1), axis=1) - 1.0)))
+        worst = float(np.max(np.abs(frames.speed - 1.0)))
         if worst > tol.vector_tol:
             raise NotUnitSpeed(
                 f"speed deviates from 1 by {worst:.3e}; reparameterize by arc length first"
@@ -161,7 +164,7 @@ def lift_curve(
     if spec.axis_mode == "explicit":
         axis = spec.axis
     else:
-        frames = frame_grid(alpha, grid_size, tol)[1]
+        require_frames(frames, exists, ts, tol)
         is_helix, theta_measured, ratio_stat = lancret_of(frames, tol)
         if not is_helix:
             raise NotAHelix(

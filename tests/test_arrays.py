@@ -21,9 +21,12 @@ from helixlift import (
     lift_curve,
     oracle_frame,
     reparam_by_arclength,
+    run_paper_suite,
     transform_curve,
 )
+from helixlift.errors import UnsupportedOrder
 from helixlift.fixtures import circular_helix, paper_cubic
+from helixlift.frenet import ArcLengthMap
 
 EPS = np.finfo(float).eps
 
@@ -54,6 +57,12 @@ CURVES = {
     ),
 }
 
+# Jets matter most where a base is mapped: the lift over a reparameterized base.
+JET_CURVES = {
+    **CURVES,
+    "lifted": lambda: lift_curve(reparam_by_arclength(paper_cubic()), LiftSpec(theta=math.pi / 4)),
+}
+
 
 def _close(got, want):
     # Same arithmetic on both sides; only vectorized transcendentals and
@@ -71,6 +80,24 @@ def test_array_eval_matches_scalar_calls(kind, order):
     assert got.shape == (11, 3)
     assert curve.eval(ts[3], order).shape == (3,)
     _close(got, np.stack([curve.eval(float(t), order) for t in ts]))
+
+
+@pytest.mark.parametrize("kind", sorted(JET_CURVES))
+@pytest.mark.parametrize("orders", [(1, 2, 3), (0, 1, 2, 3), (2,), (0,)],
+                         ids=lambda orders: "o" + "".join(map(str, orders)))
+def test_jet_equals_stacked_eval_calls(kind, orders):
+    curve = JET_CURVES[kind]()
+    assert curve.kind == kind
+    ts = np.linspace(curve.t_lo, curve.t_hi, 11)
+    for t in (ts, float(ts[4])):
+        got = curve.jet(t, orders)
+        assert len(got) == len(orders)
+        for k, value in zip(orders, got):
+            assert np.array_equal(value, curve.eval(t, k))
+    with pytest.raises(OutOfDomain):
+        curve.jet(np.append(ts, curve.t_hi + 1.0), orders)
+    with pytest.raises(UnsupportedOrder):
+        curve.jet(ts, orders + (4,))
 
 
 def test_one_bad_entry_raises_out_of_domain():
@@ -166,3 +193,39 @@ def test_classify_work_does_not_grow_with_the_grid():
         classify_curve(curve, grid_size=grid_size)
         counts.append(curve.calls)
     assert counts[0] == counts[1]
+
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    calls = []
+    inverse = ArcLengthMap._inverse
+
+    def counting(self, s):
+        calls.append(len(s))
+        return inverse(self, s)
+
+    monkeypatch.setattr(ArcLengthMap, "_inverse", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["arclength_reparam", "lifted"])
+def test_a_frame_grid_solves_the_arc_length_inverse_once(kind, inverse_calls):
+    curve = JET_CURVES[kind]()
+    inverse_calls.clear()
+    frame_at(curve, np.linspace(curve.t_lo, curve.t_hi, 9))
+    assert inverse_calls == [9]
+
+
+def test_strict_lift_solves_the_arc_length_inverse_once(inverse_calls):
+    alpha = reparam_by_arclength(paper_cubic())
+    inverse_calls.clear()
+    lift_curve(alpha, LiftSpec(theta=math.pi / 4), grid_size=64)
+    assert inverse_calls == [64]
+
+
+def test_paper_suite_inverse_solves_stay_pinned(inverse_calls):
+    # Pinned at the measured count: one solve per frame grid, lift grid,
+    # oracle stencil and quadrature level on a reparameterized curve.
+    run_paper_suite()
+    assert len(inverse_calls) <= 32
+    assert sum(inverse_calls) <= 14_148

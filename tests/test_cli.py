@@ -135,6 +135,17 @@ def test_lift_theta_mismatch_is_degenerate_geometry(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "2"])
+def test_lift_rejects_a_tiny_grid_with_one_line(capsys, samples):
+    code, _, err = run(
+        capsys, "lift", "--spec", "circular_helix:1,1", "--theta", "0.7853981633974483",
+        "--samples", samples,
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == f"error: grid_size must be at least 3, got {samples}"
+    assert "Traceback" not in err
+
+
 def test_sample_plain_csv(tmp_path, capsys):
     csv = tmp_path / "pts.csv"
     code, _, _ = run(

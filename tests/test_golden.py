@@ -1,0 +1,55 @@
+"""CLI outputs against goldens recorded at commit f9ae52a.
+
+The files under data/golden are the outputs of these commands, run in an
+empty directory at that commit:
+
+    helixlift verify-paper --out verify_paper.json
+    helixlift lift --spec circular_helix:2,1 --theta auto --emit lifted.json
+    helixlift sample --spec lifted.json --n 50 --frames --csv sample.csv
+
+with stdout and stderr saved as <name>.stdout and <name>.stderr (absent when
+empty). Refactors must keep the same frames, verdicts, lifts and errata
+ledger: every number within max(1e-12, 1e-12 |ref|), and every flag, string
+and exit code exactly.
+"""
+
+import re
+from pathlib import Path
+
+from helixlift import cli
+
+DATA = Path(__file__).parent / "data" / "golden"
+
+# (name, argv, exit code, files the command writes)
+RUNS = [
+    ("verify_paper", ["verify-paper", "--out", "verify_paper.json"], 0, ["verify_paper.json"]),
+    ("lift", ["lift", "--spec", "circular_helix:2,1", "--theta", "auto", "--emit", "lifted.json"],
+     0, ["lifted.json"]),
+    ("sample", ["sample", "--spec", "lifted.json", "--n", "50", "--frames", "--csv", "sample.csv"],
+     0, ["sample.csv"]),
+]
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _recorded(name):
+    path = DATA / name
+    return path.read_text() if path.exists() else ""
+
+
+def _assert_same(got, want, what):
+    # The text between numbers must match exactly, the numbers within tolerance.
+    assert NUMBER.split(got) == NUMBER.split(want), what
+    for g, w in zip(NUMBER.findall(got), NUMBER.findall(want)):
+        assert abs(float(g) - float(w)) <= max(1e-12, 1e-12 * abs(float(w))), (what, g, w)
+
+
+def test_cli_outputs_match_the_recorded_goldens(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, argv, code, written in RUNS:
+        assert cli.main(argv) == code, name
+        out, err = capsys.readouterr()
+        _assert_same(out, _recorded(f"{name}.stdout"), f"{name} stdout")
+        _assert_same(err, _recorded(f"{name}.stderr"), f"{name} stderr")
+        for file in written:
+            _assert_same((tmp_path / file).read_text(), _recorded(file), file)

@@ -76,6 +76,28 @@ def test_compare_frames_resolves_the_sign_ambiguity():
     assert delta.dB < 1e-15
 
 
+def _row(frame, i):
+    return FrenetFrame(*(np.asarray(getattr(frame, name))[i]
+                         for name in ("T", "N", "B", "kappa", "tau", "speed")))
+
+
+def test_compare_frames_on_arrays_is_the_worst_per_point_case():
+    # The middle row is sign flipped; each row must flip on its own.
+    ts = np.array([-1.0, 0.3, 1.2])
+    exact = frame_at(paper_cubic(), ts)
+    oracle = oracle_frame(paper_cubic(), ts, 1e-2)
+    flip = np.array([1.0, -1.0, 1.0])[:, None]
+    other = FrenetFrame(T=oracle.T, N=flip * oracle.N, B=flip * oracle.B,
+                        kappa=oracle.kappa, tau=oracle.tau, speed=oracle.speed)
+    delta = compare_frames(exact, other)
+    rows = [compare_frames(_row(exact, i), _row(other, i)) for i in range(len(ts))]
+    for name in ("dT", "dN", "dB", "dkappa", "dtau"):
+        value = getattr(delta, name)
+        assert type(value) is float
+        assert value == max(getattr(row, name) for row in rows)
+    assert delta.dN < 1e-3
+
+
 def test_theorem_checks_pass_on_the_cubic():
     alpha = reparam_by_arclength(paper_cubic())
     report = run_theorem_checks(alpha, LiftSpec(theta=math.pi / 4), grid_size=50)
