@@ -19,10 +19,11 @@ import numpy as np
 
 from . import fixtures
 from .curvespec import parse_curve_spec, serialize_curve_spec
-from .errors import DegenerateGeometryError, InputError, InvalidField
+from .curves import uniform_grid
+from .errors import DegenerateGeometryError, InputError, InvalidField, ParseError
 from .frenet import frame_at, frames_from_derivatives, reparam_by_arclength
 from .helix import classify_curve, lancret_test
-from .lift import AXIS_MODES, LiftSpec, lift_curve
+from .lift import LiftSpec, lift_curve
 from .tolerances import DEFAULT_TOLERANCES
 from .verify import run_paper_suite
 
@@ -38,17 +39,20 @@ class _Parser(argparse.ArgumentParser):
 def _load_curve(spec_arg: str):
     path = Path(spec_arg)
     if path.is_file():
-        return parse_curve_spec(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"curve spec {spec_arg} is not UTF-8 text: {exc}") from None
+        return parse_curve_spec(text)
     return fixtures.fixture_by_name(spec_arg)
 
 
 def _tolerances(args):
-    tol = DEFAULT_TOLERANCES
-    if getattr(args, "tol", None) is not None:
-        if not (args.tol > 0):
-            raise InvalidField(f"--tol must be positive, got {args.tol}")
-        tol = dataclasses.replace(tol, constancy_tol=float(args.tol))
-    return tol
+    if args.tol is None:
+        return DEFAULT_TOLERANCES
+    if not (args.tol > 0):
+        raise InvalidField(f"--tol must be positive, got {args.tol}")
+    return dataclasses.replace(DEFAULT_TOLERANCES, constancy_tol=float(args.tol))
 
 
 def _emit_json(doc: dict, out_path: str | None) -> None:
@@ -68,9 +72,7 @@ def _vec_list(vec) -> list | None:
     return [float(v) for v in np.asarray(vec, float)]
 
 
-def _stat_dict(stat) -> dict | None:
-    if stat is None:
-        return None
+def _stat_dict(stat) -> dict:
     return {
         "mean": float(stat.mean),
         "max_abs_dev": float(stat.max_abs_dev),
@@ -132,7 +134,7 @@ def _cmd_lift(args) -> int:
     tol = _tolerances(args)
 
     reparameterized = False
-    speeds = np.linalg.norm(base.eval(np.linspace(base.t_lo, base.t_hi, 64), 1), axis=1)
+    speeds = np.linalg.norm(base.eval(uniform_grid(base.t_lo, base.t_hi, 64), 1), axis=1)
     if not np.max(np.abs(speeds - 1.0)) <= tol.vector_tol:
         base = reparam_by_arclength(base, tol=tol)
         reparameterized = True
@@ -147,14 +149,12 @@ def _cmd_lift(args) -> int:
         except ValueError:
             raise InvalidField(f"--theta expects a number or 'auto', got {args.theta!r}") from None
 
-    axis_token = args.axis
-    if axis_token in ("unit", "paper", "paper_printed"):
-        mode = "paper_printed" if axis_token.startswith("paper") else "unit"
-        spec = LiftSpec(theta=theta, s0=args.s0, offset=_parse_vec3(args.offset, "--offset"),
-                        axis_mode=mode)
+    offset = _parse_vec3(args.offset, "--offset")
+    if args.axis in ("unit", "paper", "paper_printed"):
+        mode, axis = ("paper_printed" if args.axis.startswith("paper") else "unit"), None
     else:
-        spec = LiftSpec(theta=theta, s0=args.s0, offset=_parse_vec3(args.offset, "--offset"),
-                        axis_mode="explicit", axis=_parse_vec3(axis_token, "--axis"))
+        mode, axis = "explicit", _parse_vec3(args.axis, "--axis")
+    spec = LiftSpec(theta=theta, s0=args.s0, offset=offset, axis_mode=mode, axis=axis)
 
     lifted = lift_curve(base, spec, grid_size=args.samples, tol=tol, strict=not args.no_strict)
 
@@ -181,9 +181,7 @@ def _fmt(x: float) -> str:
 def _cmd_sample(args) -> int:
     curve = _load_curve(args.spec)
     tol = _tolerances(args)
-    if args.n < 2:
-        raise InvalidField(f"--n must be at least 2, got {args.n}")
-    ts = np.linspace(curve.t_lo, curve.t_hi, args.n)
+    ts = uniform_grid(curve.t_lo, curve.t_hi, args.n, name="--n")
     derivs = curve.jet(ts, (0, 1, 2, 3) if args.frames else (0,))
     columns = np.column_stack([ts, derivs[0]])
 
@@ -231,13 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  "for regular space curves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_tol=True):
+    def common(p):
         p.add_argument("--spec", required=True,
                        help="fixture name (paper_cubic, twisted_cubic, circular_helix:a,b, "
                             "circle:r) or path to a curve JSON file")
-        if with_tol:
-            p.add_argument("--tol", type=float, default=None,
-                           help="override the constancy tolerance used for decisions")
+        p.add_argument("--tol", type=float, default=None,
+                       help="override the constancy tolerance used for decisions")
         p.add_argument("--out", default=None, help="write JSON output here instead of stdout")
 
     p = sub.add_parser("classify", help="run the helix classification battery")
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("sample", help="sample positions (and optionally frames) to CSV")
-    common(p, with_tol=True)
+    common(p)
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--frames", action="store_true", help="include frame columns")
     p.add_argument("--csv", default=None, help="write CSV here instead of stdout")

@@ -6,9 +6,10 @@ single ``eval(t, order)`` entry point, which takes one parameter or a 1-D
 array of them. Analytic kinds (polynomial components, circular helix)
 differentiate exactly. A polyline carries no smooth structure of its own,
 so it is interpolated once by a natural cubic spline and the spline is
-differentiated. Curves defined only through positions fall back to second
-order central differences, one parameter at a time, with the stencil
-shifted to a one sided form near the domain ends.
+differentiated. Only ``CallableCurve``, for curves defined only through
+positions, uses finite differences: second order central stencils, one
+parameter at a time, shifted to a one sided form near the domain ends.
+Every uniform parameter grid comes from ``uniform_grid``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .errors import InvalidField, OutOfDomain, UnsupportedOrder
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 MAX_DERIVATIVE_ORDER = 3
+
+#: Largest grid ``uniform_grid`` builds: 2048 times every default grid size,
+#: and small enough that a mistyped size fails before it allocates gigabytes.
+MAX_GRID_SIZE = 1 << 20
 
 
 def outside(ts, lo: float, hi: float) -> np.ndarray:
@@ -44,6 +49,17 @@ def same_domain(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return not (outside(a, *b).any() or outside(b, *a).any())
 
 
+def uniform_grid(lo: float, hi: float, size, least: int = 2, name: str = "grid_size") -> np.ndarray:
+    """``size`` evenly spaced parameters from lo to hi; raises InvalidField,
+    naming the size ``name``, unless least <= size <= MAX_GRID_SIZE."""
+    size = int(size)
+    if size < least:
+        raise InvalidField(f"{name} must be at least {least}, got {size}")
+    if size > MAX_GRID_SIZE:
+        raise InvalidField(f"{name} must be at most {MAX_GRID_SIZE}, got {size}")
+    return np.linspace(lo, hi, size)
+
+
 def as_vec3(value, field: str = "vector") -> np.ndarray:
     """Coerce to a finite float64 vector of shape (3,), or raise InvalidField."""
     arr = np.asarray(value, dtype=float)
@@ -57,18 +73,17 @@ def as_vec3(value, field: str = "vector") -> np.ndarray:
 class ParamCurve:
     """A curve over a closed parameter interval.
 
-    Leaf kinds either implement ``_evaluate(ts, order)`` for all orders 0..3
-    on a 1-D parameter array, returning shape (n, 3), or implement
-    ``_position(t)`` for one parameter alone and inherit the finite
-    difference derivative path. Kinds built on a base curve implement
-    ``_jet(ts, orders)``, which returns one such array per order. Instances
-    are immutable after construction and safe to evaluate concurrently;
-    results do not depend on evaluation order.
+    There are two hooks: leaf kinds implement ``_evaluate(ts, order)`` for
+    all orders 0..3 on a 1-D parameter array, returning shape (n, 3), and
+    kinds built on a base curve implement ``_jet(ts, orders)``, which
+    returns one such array per order. Only ``CallableCurve`` differentiates
+    by finite differences. Instances are immutable after construction and
+    safe to evaluate concurrently; results do not depend on evaluation order.
     """
 
     kind: str = "opaque"
 
-    def __init__(self, t_lo: float, t_hi: float, fd_step: float | None = None):
+    def __init__(self, t_lo: float, t_hi: float):
         t_lo = float(t_lo)
         t_hi = float(t_hi)
         if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
@@ -77,12 +92,6 @@ class ParamCurve:
             raise InvalidField(f"domain [{t_lo}, {t_hi}] is empty")
         self._t_lo = t_lo
         self._t_hi = t_hi
-        if fd_step is None:
-            fd_step = DEFAULT_TOLERANCES.fd_step * (t_hi - t_lo)
-        fd_step = float(fd_step)
-        if not (math.isfinite(fd_step) and fd_step > 0):
-            raise InvalidField(f"fd_step must be strictly positive, got {fd_step}")
-        self._fd_step = fd_step
 
     @property
     def t_lo(self) -> float:
@@ -99,10 +108,6 @@ class ParamCurve:
     @property
     def span(self) -> float:
         return self._t_hi - self._t_lo
-
-    @property
-    def fd_step(self) -> float:
-        return self._fd_step
 
     def eval(self, t, order: int = 0) -> np.ndarray:
         """Derivative of the given order at ``t``, a parameter or a 1-D array.
@@ -133,15 +138,7 @@ class ParamCurve:
         return [self._evaluate(ts, order) for order in orders]
 
     def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
-        return np.array(
-            [
-                finite_difference_derivative(self._position, t, order, self._fd_step, self.domain)
-                for t in ts
-            ]
-        ).reshape(-1, 3)
-
-    def _position(self, t: float) -> np.ndarray:
-        raise NotImplementedError("curve kinds must implement _position or _evaluate")
+        raise NotImplementedError("curve kinds must implement _evaluate or _jet")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} kind={self.kind!r} domain=[{self._t_lo}, {self._t_hi}]>"
@@ -150,15 +147,30 @@ class ParamCurve:
 class CallableCurve(ParamCurve):
     """Curve defined by an arbitrary position function.
 
-    Derivatives come from the finite difference fallback, so this is the
-    right wrapper for black box trajectories.
+    Derivatives come from finite differences of positions, one parameter at
+    a time, so this is the right wrapper for black box trajectories.
+    fd_step defaults to DEFAULT_TOLERANCES.fd_step times the domain span.
     """
 
     kind = "callable"
 
     def __init__(self, fn: Callable[[float], Sequence[float]], domain, fd_step=None):
-        super().__init__(domain[0], domain[1], fd_step)
+        super().__init__(domain[0], domain[1])
+        if fd_step is None:
+            fd_step = DEFAULT_TOLERANCES.fd_step * self.span
+        fd_step = float(fd_step)
+        if not (math.isfinite(fd_step) and fd_step > 0):
+            raise InvalidField(f"fd_step must be strictly positive, got {fd_step}")
         self._fn = fn
+        self._fd_step = fd_step
+
+    def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
+        return np.array(
+            [
+                finite_difference_derivative(self._position, t, order, self._fd_step, self.domain)
+                for t in ts
+            ]
+        ).reshape(-1, 3)
 
     def _position(self, t: float) -> np.ndarray:
         arr = np.asarray(self._fn(t), dtype=float)
@@ -172,8 +184,8 @@ class PolynomialCurve(ParamCurve):
 
     kind = "polynomial"
 
-    def __init__(self, coeffs, domain, fd_step=None):
-        super().__init__(domain[0], domain[1], fd_step)
+    def __init__(self, coeffs, domain):
+        super().__init__(domain[0], domain[1])
         if len(coeffs) != 3:
             raise InvalidField(f"polynomial curves need exactly three coefficient lists, got {len(coeffs)}")
         cleaned = []
@@ -208,8 +220,8 @@ class CircularHelix(ParamCurve):
 
     kind = "circular_helix"
 
-    def __init__(self, radius, pitch, domain=(0.0, 2.0 * math.pi), fd_step=None):
-        super().__init__(domain[0], domain[1], fd_step)
+    def __init__(self, radius, pitch, domain=(0.0, 2.0 * math.pi)):
+        super().__init__(domain[0], domain[1])
         radius = float(radius)
         pitch = float(pitch)
         if not (math.isfinite(radius) and radius > 0):
@@ -247,7 +259,7 @@ class Polyline(ParamCurve):
 
     kind = "polyline"
 
-    def __init__(self, points, knots, fd_step=None):
+    def __init__(self, points, knots):
         pts = np.asarray(points, dtype=float)
         kns = np.asarray(knots, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
@@ -262,7 +274,7 @@ class Polyline(ParamCurve):
             raise InvalidField("points and knots must be finite")
         if not np.all(np.diff(kns) > 0):
             raise InvalidField("knots must be strictly increasing")
-        super().__init__(kns[0], kns[-1], fd_step)
+        super().__init__(kns[0], kns[-1])
         self._points = pts.copy()
         self._knots = kns.copy()
         self._spline = CubicSpline(kns, pts, axis=0, bc_type="natural")
@@ -289,7 +301,7 @@ class TransformedCurve(ParamCurve):
     kind = "transformed"
 
     def __init__(self, base: ParamCurve, rotation=None, translation=None, scale=1.0):
-        super().__init__(base.t_lo, base.t_hi, base.fd_step)
+        super().__init__(base.t_lo, base.t_hi)
         self._base = base
         if rotation is None:
             rotation = np.eye(3)
@@ -397,13 +409,9 @@ class RegularityReport:
     grid_size: int
 
 
-def regularity_check(curve, grid_size=256, tol: Tolerances | None = None) -> RegularityReport:
+def regularity_check(curve, grid_size=256, tol: Tolerances = DEFAULT_TOLERANCES) -> RegularityReport:
     """Scan a uniform grid for minimum speed and minimum |a' x a''|."""
-    tol = tol or DEFAULT_TOLERANCES
-    grid_size = int(grid_size)
-    if grid_size < 2:
-        raise InvalidField(f"grid_size must be at least 2, got {grid_size}")
-    d1, d2 = curve.jet(np.linspace(curve.t_lo, curve.t_hi, grid_size), (1, 2))
+    d1, d2 = curve.jet(uniform_grid(curve.t_lo, curve.t_hi, grid_size), (1, 2))
     min_speed = float(np.min(np.linalg.norm(d1, axis=1)))
     min_cross = float(np.min(np.linalg.norm(np.cross(d1, d2), axis=1)))
     return RegularityReport(
@@ -411,5 +419,5 @@ def regularity_check(curve, grid_size=256, tol: Tolerances | None = None) -> Reg
         min_cross_norm=min_cross,
         is_regular=min_speed > tol.speed_tol,
         is_twisted=min_cross > tol.speed_tol,
-        grid_size=grid_size,
+        grid_size=len(d1),
     )

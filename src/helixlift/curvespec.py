@@ -5,8 +5,8 @@ polynomial, circular_helix, polyline, and lifted; arclength_reparam is an
 additional kind this toolkit emits when a lift needed its base curve
 reparameterized first. parse and serialize are exact inverses on every
 kind: serialize(parse(serialize(c))) == serialize(c). Every malformed
-document raises an InputError: a ValueError or TypeError from building a
-curve becomes InvalidField, and nesting is capped at MAX_SPEC_DEPTH.
+document raises an InputError: ValueError, TypeError and OverflowError
+from building a curve become InvalidField; nesting is capped at MAX_SPEC_DEPTH.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .curves import CircularHelix, ParamCurve, Polyline, PolynomialCurve, same_d
 from .errors import InputError, InvalidField, ParseError, UnknownKind
 from .frenet import ReparamCurve, reparam_by_arclength
 from .lift import LiftSpec, LiftedCurve, lift_curve
-
-_REPARAM_DEFAULT_GRID = 512
 
 #: Deepest chain of nested "base" specs accepted; a lift of a reparameterized
 #: curve nests two levels, so this leaves ample room for real documents.
@@ -137,8 +135,10 @@ def _build_lifted(doc, depth):
 
 
 def _build_reparam(doc, depth):
-    grid = doc.get("grid", _REPARAM_DEFAULT_GRID)
-    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 2:
+    if "grid" not in doc:
+        return reparam_by_arclength(_base(doc, depth))
+    grid = doc["grid"]
+    if isinstance(grid, bool) or not isinstance(grid, int):
         raise InvalidField(f"'grid' must be an integer >= 2, got {grid!r}")
     return reparam_by_arclength(_base(doc, depth), grid_size=grid)
 
@@ -168,7 +168,7 @@ def _curve(doc: dict, depth: int) -> ParamCurve:
         raise UnknownKind(kind)
     try:
         return builder(doc, depth)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidField(f"malformed {kind} spec: {exc}") from exc
 
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ParamCurve
-from .errors import DegenerateFrame, InputError, InvalidField, ZeroSpeed
+from .curves import ParamCurve, uniform_grid
+from .errors import DegenerateFrame, InputError, ZeroSpeed
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -47,7 +47,7 @@ class FrenetFrame:
     speed: float
 
 
-def frames_from_derivatives(d1, d2, d3, tol: Tolerances | None = None):
+def frames_from_derivatives(d1, d2, d3, tol: Tolerances = DEFAULT_TOLERANCES):
     """The frame kernel: Frenet frames from the first three derivatives.
 
     d1, d2, d3 are (3,) vectors or (n, 3) arrays. Returns the frame, its
@@ -55,7 +55,6 @@ def frames_from_derivatives(d1, d2, d3, tol: Tolerances | None = None):
     frame exists: speed and |a' x a''| above speed_tol, and speed,
     |a' x a''|, kappa and tau all finite. Other rows hold meaningless values.
     """
-    tol = tol or DEFAULT_TOLERANCES
     with np.errstate(all="ignore"):
         speed = np.linalg.norm(d1, axis=-1)
         cross = np.cross(d1, d2)
@@ -86,7 +85,7 @@ def require_frames(frame: FrenetFrame, exists, ts, tol: Tolerances) -> None:
     )
 
 
-def frame_at(curve, t, tol: Tolerances | None = None) -> FrenetFrame:
+def frame_at(curve, t, tol: Tolerances = DEFAULT_TOLERANCES) -> FrenetFrame:
     """Frenet frame at ``t``, one parameter or a 1-D array of them.
 
     The binormal comes from the velocity cross acceleration and the normal
@@ -94,13 +93,12 @@ def frame_at(curve, t, tol: Tolerances | None = None) -> FrenetFrame:
     construction. Raises ZeroSpeed or DegenerateFrame for the first sample
     where the frame does not exist.
     """
-    tol = tol or DEFAULT_TOLERANCES
     frame, exists = frames_from_derivatives(*curve.jet(t, (1, 2, 3)), tol)
     require_frames(frame, exists, t, tol)
     return frame
 
 
-def curvature_torsion(curve, t, tol: Tolerances | None = None) -> tuple[float, float]:
+def curvature_torsion(curve, t, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, float]:
     """Curvature and torsion at ``t`` for an arbitrary regular parameterization."""
     frame = frame_at(curve, t, tol)
     return frame.kappa, frame.tau
@@ -181,13 +179,9 @@ class ArcLengthMap:
     keeps finite differences taken through this map well behaved.
     """
 
-    def __init__(self, curve: ParamCurve, grid_size: int = 512, tol: Tolerances | None = None):
-        tol = tol or DEFAULT_TOLERANCES
-        grid_size = int(grid_size)
-        if grid_size < 2:
-            raise InvalidField(f"grid_size must be at least 2, got {grid_size}")
+    def __init__(self, curve: ParamCurve, grid_size: int = 512, tol: Tolerances = DEFAULT_TOLERANCES):
         self._curve = curve
-        ts = np.linspace(curve.t_lo, curve.t_hi, grid_size)
+        ts = uniform_grid(curve.t_lo, curve.t_hi, grid_size)
         slow = np.flatnonzero(_speed(curve, ts) <= tol.speed_tol)
         if slow.size:
             raise ZeroSpeed(
@@ -258,11 +252,11 @@ class ReparamCurve(ParamCurve):
 
     kind = "arclength_reparam"
 
-    def __init__(self, base: ParamCurve, length_map: ArcLengthMap, tol: Tolerances | None = None):
-        super().__init__(0.0, length_map.total_length, base.fd_step)
+    def __init__(self, base: ParamCurve, length_map: ArcLengthMap, tol: Tolerances = DEFAULT_TOLERANCES):
+        super().__init__(0.0, length_map.total_length)
         self._base = base
         self._map = length_map
-        self._tol = tol or DEFAULT_TOLERANCES
+        self._tol = tol
 
     @property
     def base(self) -> ParamCurve:
@@ -298,11 +292,10 @@ class ReparamCurve(ParamCurve):
         return [out[k] for k in orders]
 
 
-def reparam_by_arclength(curve, grid_size: int = 512, tol: Tolerances | None = None) -> ReparamCurve:
+def reparam_by_arclength(curve, grid_size: int = 512, tol: Tolerances = DEFAULT_TOLERANCES) -> ReparamCurve:
     """Arc length reparameterization of a regular curve.
 
     Raises ZeroSpeed when the speed falls to the degeneracy threshold
     anywhere on the sampling grid.
     """
-    tol = tol or DEFAULT_TOLERANCES
     return ReparamCurve(curve, ArcLengthMap(curve, grid_size=grid_size, tol=tol), tol=tol)

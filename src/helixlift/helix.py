@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import same_domain
+from .curves import same_domain, uniform_grid
 from .errors import DegenerateFrame, DomainMismatch, InvalidField, NotAHelix
 from .frenet import frame_at, integrate_speed
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -57,20 +57,12 @@ def constancy_stat(values, floor: float = STAT_FLOOR) -> ConstancyStat:
     )
 
 
-def uniform_grid(curve, grid_size) -> np.ndarray:
-    """grid_size evenly spaced parameters over the domain, at least 3."""
-    grid_size = int(grid_size)
-    if grid_size < 3:
-        raise InvalidField(f"grid_size must be at least 3, got {grid_size}")
-    return np.linspace(curve.t_lo, curve.t_hi, grid_size)
-
-
 def frame_grid(curve, grid_size, tol: Tolerances):
-    """The uniform grid of grid_size parameters and the frames on it.
+    """The uniform grid of grid_size parameters, at least 3, and its frames.
 
     Raises ZeroSpeed or DegenerateFrame for the first sample without a frame.
     """
-    ts = uniform_grid(curve, grid_size)
+    ts = uniform_grid(curve.t_lo, curve.t_hi, grid_size, least=3)
     return ts, frame_at(curve, ts, tol)
 
 
@@ -83,7 +75,7 @@ def lancret_of(frames, tol: Tolerances):
     return stat.rel_dev <= tol.constancy_tol, theta, stat
 
 
-def lancret_test(curve, grid_size: int = 256, tol: Tolerances | None = None):
+def lancret_test(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES):
     """Lancret criterion on a uniform grid.
 
     Returns (is_general_helix, theta, ratio_stat). theta is reported in
@@ -91,7 +83,6 @@ def lancret_test(curve, grid_size: int = 256, tol: Tolerances | None = None):
     flag is true. Raises DegenerateFrame if the torsion vanishes at any
     sample, since the ratio is undefined there.
     """
-    tol = tol or DEFAULT_TOLERANCES
     return lancret_of(frame_grid(curve, grid_size, tol)[1], tol)
 
 
@@ -113,7 +104,7 @@ def axis_of(frames, theta: float, ratio_stat: ConstancyStat, tol: Tolerances):
     return mean_vec / mean_norm, stat
 
 
-def helix_axis(curve, grid_size: int = 256, tol: Tolerances | None = None):
+def helix_axis(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES):
     """Axis of a general helix as the mean of cos(theta) T + sin(theta) B.
 
     The binormal term carries the sign of the torsion so the combination is
@@ -121,7 +112,6 @@ def helix_axis(curve, grid_size: int = 256, tol: Tolerances | None = None):
     constancy stat of the samples around it; raises NotAHelix when the
     Lancret test or the axis constancy fails.
     """
-    tol = tol or DEFAULT_TOLERANCES
     frames = frame_grid(curve, grid_size, tol)[1]
     is_helix, theta, ratio_stat = lancret_of(frames, tol)
     if not is_helix:
@@ -146,25 +136,23 @@ def slant_of(curve, ts, frames, tol: Tolerances):
     return stat.rel_dev <= tol.constancy_tol, stat
 
 
-def slant_test(curve, grid_size: int = 256, tol: Tolerances | None = None):
+def slant_test(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES):
     """Slant helix test: constancy of sigma over the grid interior.
 
     The derivative of tau/kappa is taken against cumulative arc length with
     a three point difference that stays second order on the non-uniform
     spacing. Endpoint samples have no centered neighbor and are skipped.
     """
-    tol = tol or DEFAULT_TOLERANCES
     ts, frames = frame_grid(curve, grid_size, tol)
     return slant_of(curve, ts, frames, tol)
 
 
-def bertrand_test(curve_a, curve_b, grid_size: int = 256, tol: Tolerances | None = None):
+def bertrand_test(curve_a, curve_b, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES):
     """Bertrand mate test for two curves over the same parameter domain.
 
     Compares |N_a . N_b| pointwise; the pair passes when the minimum stays
     within vector_tol of 1. The test is symmetric in its arguments.
     """
-    tol = tol or DEFAULT_TOLERANCES
     if not same_domain(curve_a.domain, curve_b.domain):
         raise DomainMismatch(
             f"domains [{curve_a.t_lo}, {curve_a.t_hi}] and [{curve_b.t_lo}, {curve_b.t_hi}] differ"
@@ -190,14 +178,13 @@ class HelixClassification:
     tau_stat: ConstancyStat
 
 
-def classify_curve(curve, grid_size: int = 256, tol: Tolerances | None = None) -> HelixClassification:
+def classify_curve(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES) -> HelixClassification:
     """Run the Lancret, circular, and slant tests and assemble the result.
 
     All three tests read one frame grid. A circular helix is a general helix
     whose curvature and torsion are each constant. theta and axis are
     populated only for general helices.
     """
-    tol = tol or DEFAULT_TOLERANCES
     ts, frames = frame_grid(curve, grid_size, tol)
     kappa_stat = constancy_stat(frames.kappa)
     tau_stat = constancy_stat(frames.tau)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ParamCurve, as_vec3
+from .curves import ParamCurve, as_vec3, uniform_grid
 from .errors import (
     DegenerateDenominator,
     InvalidField,
@@ -29,7 +29,7 @@ from .errors import (
     ThetaMismatch,
 )
 from .frenet import frames_from_derivatives, require_frames
-from .helix import axis_of, lancret_of, uniform_grid
+from .helix import axis_of, lancret_of
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 AXIS_MODES = ("unit", "paper_printed", "explicit")
@@ -84,7 +84,7 @@ class LiftedCurve(ParamCurve):
     kind = "lifted"
 
     def __init__(self, base: ParamCurve, spec: LiftSpec, axis: np.ndarray):
-        super().__init__(base.t_lo, base.t_hi, base.fd_step)
+        super().__init__(base.t_lo, base.t_hi)
         self._base = base
         self._spec = spec
         self._axis = as_vec3(axis, "axis")
@@ -118,7 +118,7 @@ def lift_curve(
     alpha: ParamCurve,
     spec: LiftSpec,
     grid_size: int = 256,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
     strict: bool = True,
 ) -> LiftedCurve:
     """Construct the lift of ``alpha`` described by ``spec``.
@@ -134,8 +134,6 @@ def lift_curve(
     offset (the axis term vanishes), theta = 0 produces the straight line
     offset + axis * (s - s0) and therefore requires an explicit axis.
     """
-    tol = tol or DEFAULT_TOLERANCES
-
     if spec.is_degenerate:
         if spec.theta < _DEGENERATE_THETA:
             if spec.axis_mode != "explicit":
@@ -151,7 +149,7 @@ def lift_curve(
 
     if strict or spec.axis_mode != "explicit":
         # One jet serves the unit speed gate and the frame grid.
-        ts = uniform_grid(alpha, grid_size)
+        ts = uniform_grid(alpha.t_lo, alpha.t_hi, grid_size, least=3)
         frames, exists = frames_from_derivatives(*alpha.jet(ts, (1, 2, 3)), tol)
 
     if strict:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import fixtures
-from .curves import outside
+from .curves import outside, uniform_grid
 from .errors import NotAHelix, StencilOutOfDomain
 from .frenet import (
     FrenetFrame,
@@ -32,7 +32,7 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 _FLOOR = 1e-12
 
 
-def oracle_frame(curve, t, h, tol: Tolerances | None = None) -> FrenetFrame:
+def oracle_frame(curve, t, h, tol: Tolerances = DEFAULT_TOLERANCES) -> FrenetFrame:
     """Frenet frame reconstructed from five position samples around t.
 
     t is one parameter or a 1-D array of them. Derivative stencils are the
@@ -41,7 +41,6 @@ def oracle_frame(curve, t, h, tol: Tolerances | None = None) -> FrenetFrame:
     when h is halved; the frame itself comes from the shared frame kernel.
     Raises StencilOutOfDomain when t +/- 2h leaves the curve domain.
     """
-    tol = tol or DEFAULT_TOLERANCES
     ts = np.asarray(t, dtype=float)
     h = float(h)
     if not h > 0:
@@ -153,7 +152,7 @@ def run_theorem_checks(
     alpha,
     spec: LiftSpec,
     grid_size: int = 100,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
     oracle_step: float | None = None,
 ) -> VerificationReport:
     """Oracle-level checks of the three lift theorems for one base curve.
@@ -164,7 +163,6 @@ def run_theorem_checks(
     lift; theorem3 checks that oracle lifted normals stay parallel to the
     base normals. The oracle grid spans the domain minus the stencil margin.
     """
-    tol = tol or DEFAULT_TOLERANCES
     lifted = lift_curve(alpha, spec, tol=tol, strict=True)
     # One frame grid of alpha gives the axis and the base slant verdict.
     base = classify_curve(alpha, tol=tol)
@@ -172,7 +170,7 @@ def run_theorem_checks(
         raise NotAHelix(f"kappa/tau relative deviation {base.ratio_stat.rel_dev:.3e} exceeds tolerance")
     h = float(oracle_step) if oracle_step is not None else _theorem_oracle_step(alpha.span)
     lo, hi = alpha.domain
-    us = np.linspace(lo + 2.0 * h, hi - 2.0 * h, int(grid_size))
+    us = uniform_grid(lo + 2.0 * h, hi - 2.0 * h, grid_size, least=1)
     lifted_frames = oracle_frame(lifted, us, h, tol)
     axis_dots = lifted_frames.T @ base.axis
     normal_dots = np.abs(np.sum(lifted_frames.N * frame_at(alpha, us, tol).N, axis=1))
@@ -241,7 +239,7 @@ def _entry(claim, printed, oracle, rule, samples, tol) -> ErrataEntry:
     )
 
 
-def run_paper_suite(tol: Tolerances | None = None, grid_size: int = 256) -> VerificationReport:
+def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) -> VerificationReport:
     """Audit the printed worked example and check the lift theorems.
 
     Deterministic: repeated runs produce byte identical reports. The suite
@@ -249,7 +247,6 @@ def run_paper_suite(tol: Tolerances | None = None, grid_size: int = 256) -> Veri
     disagreements are data, recorded with agrees=False. Only the theorem
     checks carry pass flags.
     """
-    tol = tol or DEFAULT_TOLERANCES
     theta = math.pi / 4.0
     samples = (0.0, 0.5, 1.0, 2.0)
     literal = fixtures.paper_cubic()
@@ -265,7 +262,7 @@ def run_paper_suite(tol: Tolerances | None = None, grid_size: int = 256) -> Veri
         literal, LiftSpec(theta=theta, axis_mode="paper_printed"), tol=tol, strict=False
     )
 
-    alpha_u = reparam_by_arclength(literal, grid_size=512, tol=tol)
+    alpha_u = reparam_by_arclength(literal, tol=tol)
     lifted_u = lift_curve(alpha_u, LiftSpec(theta=theta), tol=tol, strict=True)
     h_main = _theorem_oracle_step(alpha_u.span)
     oracle_bar = oracle_frame(lifted_u, alpha_u.length_map.forward(samples), h_main, tol)
@@ -331,7 +328,7 @@ def run_paper_suite(tol: Tolerances | None = None, grid_size: int = 256) -> Veri
     pair_flags = ["cubic:agree" if main.theorem2.passed else "cubic:disagree"]
     t2_pass = main.theorem2.passed
     for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
-        base_u = reparam_by_arclength(fixtures.circular_helix(a, b), grid_size=512, tol=tol)
+        base_u = reparam_by_arclength(fixtures.circular_helix(a, b), tol=tol)
         lifted_h = lift_curve(base_u, LiftSpec(theta=math.atan2(a, b)), tol=tol, strict=True)
         base_ok, base_stat = slant_test(base_u, grid_size=grid_size, tol=tol)
         lift_ok, lift_stat = slant_test(lifted_h, grid_size=grid_size, tol=tol)

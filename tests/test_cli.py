@@ -6,6 +6,8 @@ import math
 import pytest
 
 from helixlift import cli
+from helixlift.curves import MAX_GRID_SIZE
+from helixlift.curvespec import parse_curve_spec, serialize_curve_spec
 from helixlift.verify import TheoremResult, VerificationReport
 
 
@@ -274,3 +276,115 @@ def test_overflowing_geometry_exits_two_without_nan(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("degenerate geometry:") and err.count("\n") == 1
+
+
+def _helix_doc(**fields):
+    return {"kind": "circular_helix", "radius": 1, "pitch": 1, "domain": [0, 1], **fields}
+
+
+_HUGE = 10**400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _helix_doc(domain=[0, _HUGE]),
+        _helix_doc(radius=_HUGE),
+        {"kind": "lifted", "theta": 0.5, "s0": _HUGE, "base": _helix_doc()},
+        {"kind": "lifted", "theta": 0.5, "offset": [_HUGE, 0, 0], "base": _helix_doc()},
+        {"kind": "polynomial", "domain": [0, 1], "coeffs": [[_HUGE], [0, 1], [0, 0, 1]]},
+    ],
+    ids=["domain", "radius", "s0", "offset", "coeffs"],
+)
+def test_integers_past_float_range_exit_one_with_one_line(tmp_path, capsys, doc):
+    spec = tmp_path / "huge_int.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", "--spec", str(spec))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_spec_file_that_is_not_utf8_exits_one_with_one_line(tmp_path, capsys):
+    spec = tmp_path / "binary.json"
+    spec.write_bytes(b"\xff\xfe\x00garbage")
+    code, out, err = run(capsys, "classify", "--spec", str(spec))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Sizes past the cap are rejected before any grid is allocated; a run at the
+# cap itself would allocate hundreds of megabytes, so none is made here.
+@pytest.mark.parametrize("size", [MAX_GRID_SIZE + 1, 1000000000000])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["classify", "--spec", "paper_cubic", "--samples"], "grid_size"),
+        (["lift", "--spec", "circular_helix:1,1", "--samples"], "grid_size"),
+        (["verify-paper", "--samples"], "grid_size"),
+        (["sample", "--spec", "paper_cubic", "--n"], "--n"),
+    ],
+    ids=["classify", "lift", "verify-paper", "sample"],
+)
+def test_oversized_grids_exit_one_with_one_line(capsys, argv, name, size):
+    code, out, err = run(capsys, *argv, str(size))
+    assert code == 1
+    # lift may print its reparameterization note first.
+    assert err.splitlines()[-1] == f"error: {name} must be at most {MAX_GRID_SIZE}, got {size}"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [MAX_GRID_SIZE + 1, 1000000000000])
+def test_oversized_spec_grid_exits_one_with_one_line(tmp_path, capsys, size):
+    spec = tmp_path / "reparam.json"
+    spec.write_text(json.dumps({"kind": "arclength_reparam", "grid": size, "base": _helix_doc()}))
+    code, out, err = run(capsys, "classify", "--spec", str(spec))
+    assert code == 1
+    assert err == f"error: grid_size must be at most {MAX_GRID_SIZE}, got {size}\n"
+
+
+def test_tol_reaches_the_classification(capsys):
+    _, out, _ = run(capsys, "classify", "--spec", "paper_cubic")
+    assert json.loads(out)["general_helix"] is True
+    code, out, _ = run(capsys, "classify", "--spec", "paper_cubic", "--tol", "1e-30")
+    assert code == 0
+    assert json.loads(out)["general_helix"] is False
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_non_positive_tol_exits_one_with_one_line(capsys, tol):
+    code, out, err = run(capsys, "classify", "--spec", "paper_cubic", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --tol must be positive, got {float(tol)}\n"
+
+
+def test_explicit_axis_lift_round_trips(tmp_path, capsys):
+    emitted = tmp_path / "explicit.json"
+    code, _, _ = run(
+        capsys, "lift", "--spec", "circular_helix:1,1", "--theta", "0.5",
+        "--axis", "0,0,1", "--emit", str(emitted),
+    )
+    assert code == 0
+    text = emitted.read_text()
+    doc = json.loads(text)
+    assert doc["axis_mode"] == "explicit"
+    assert doc["axis"] == [0.0, 0.0, 1.0]
+    code, _, _ = run(capsys, "sample", "--spec", str(emitted), "--n", "5")
+    assert code == 0
+    assert serialize_curve_spec(parse_curve_spec(text)) == text
+
+
+def test_lift_of_a_curve_with_zero_speed_exits_two(tmp_path, capsys):
+    # (t^2, t^3, t^4) stops at t = 0, so its arc length map has no inverse.
+    spec = tmp_path / "cusp.json"
+    spec.write_text(json.dumps(
+        {"kind": "polynomial", "domain": [0, 1], "coeffs": [[0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 1]]}
+    ))
+    code, out, err = run(capsys, "lift", "--spec", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "degenerate geometry: speed vanishes near t=0.0; arc length map is not invertible\n"
+    )
