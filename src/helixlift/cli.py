@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fixtures
 from .curvespec import parse_curve_spec, serialize_curve_spec
-from .curves import uniform_grid
+from .curves import check_grid_size, uniform_grid
 from .errors import DegenerateGeometryError, InputError, InvalidField, ParseError
 from .frenet import frame_at, frames_from_derivatives, reparam_by_arclength
 from .helix import classify_curve, lancret_test
@@ -92,6 +92,7 @@ def _parse_vec3(text: str, name: str):
 
 
 def _cmd_classify(args) -> int:
+    check_grid_size(args.samples, least=3)
     curve = _load_curve(args.spec)
     tol = _tolerances(args)
     cls = classify_curve(curve, grid_size=args.samples, tol=tol)
@@ -130,6 +131,7 @@ def _cmd_frenet(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    check_grid_size(args.samples, least=3)
     base = _load_curve(args.spec)
     tol = _tolerances(args)
 
@@ -179,9 +181,10 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_sample(args) -> int:
+    n = check_grid_size(args.n, name="--n")
     curve = _load_curve(args.spec)
     tol = _tolerances(args)
-    ts = uniform_grid(curve.t_lo, curve.t_hi, args.n, name="--n")
+    ts = uniform_grid(curve.t_lo, curve.t_hi, n, name="--n")
     derivs = curve.jet(ts, (0, 1, 2, 3) if args.frames else (0,))
     columns = np.column_stack([ts, derivs[0]])
 

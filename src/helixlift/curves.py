@@ -1,15 +1,17 @@
 """Space curve representations with derivative evaluation.
 
 Every curve maps a scalar parameter from a closed interval into three
-dimensional Euclidean space and exposes derivatives up to order 3 through a
-single ``eval(t, order)`` entry point, which takes one parameter or a 1-D
-array of them. Analytic kinds (polynomial components, circular helix)
-differentiate exactly. A polyline carries no smooth structure of its own,
-so it is interpolated once by a natural cubic spline and the spline is
-differentiated. Only ``CallableCurve``, for curves defined only through
-positions, uses finite differences: second order central stencils, one
-parameter at a time, shifted to a one sided form near the domain ends.
-Every uniform parameter grid comes from ``uniform_grid``.
+dimensional Euclidean space and exposes derivatives up to order 4
+(``MAX_DERIVATIVE_ORDER``) through a single ``eval(t, order)`` entry point,
+which takes one parameter or a 1-D array of them. Analytic kinds
+(polynomial components, circular helix) differentiate exactly. A polyline
+carries no smooth structure of its own, so it is interpolated once by a
+natural cubic spline and the spline is differentiated. Only
+``CallableCurve``, for curves defined only through positions, uses finite
+differences: second order central stencils, one parameter at a time,
+shifted to a one sided form near the domain ends; it stops at order 3.
+Every uniform parameter grid comes from ``uniform_grid``, and every grid
+size passes ``check_grid_size``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidField, OutOfDomain, UnsupportedOrder
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-MAX_DERIVATIVE_ORDER = 3
+MAX_DERIVATIVE_ORDER = 4
 
 #: Largest grid ``uniform_grid`` builds: 2048 times every default grid size,
 #: and small enough that a mistyped size fails before it allocates gigabytes.
@@ -49,15 +50,21 @@ def same_domain(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return not (outside(a, *b).any() or outside(b, *a).any())
 
 
-def uniform_grid(lo: float, hi: float, size, least: int = 2, name: str = "grid_size") -> np.ndarray:
-    """``size`` evenly spaced parameters from lo to hi; raises InvalidField,
-    naming the size ``name``, unless least <= size <= MAX_GRID_SIZE."""
+def check_grid_size(size, least: int = 2, name: str = "grid_size") -> int:
+    """``size`` as an int; raises InvalidField, naming the size ``name``,
+    unless least <= size <= MAX_GRID_SIZE."""
     size = int(size)
     if size < least:
         raise InvalidField(f"{name} must be at least {least}, got {size}")
     if size > MAX_GRID_SIZE:
         raise InvalidField(f"{name} must be at most {MAX_GRID_SIZE}, got {size}")
-    return np.linspace(lo, hi, size)
+    return size
+
+
+def uniform_grid(lo: float, hi: float, size, least: int = 2, name: str = "grid_size") -> np.ndarray:
+    """``size`` evenly spaced parameters from lo to hi, the size checked by
+    ``check_grid_size``."""
+    return np.linspace(lo, hi, check_grid_size(size, least, name))
 
 
 def as_vec3(value, field: str = "vector") -> np.ndarray:
@@ -74,10 +81,10 @@ class ParamCurve:
     """A curve over a closed parameter interval.
 
     There are two hooks: leaf kinds implement ``_evaluate(ts, order)`` for
-    all orders 0..3 on a 1-D parameter array, returning shape (n, 3), and
-    kinds built on a base curve implement ``_jet(ts, orders)``, which
-    returns one such array per order. Only ``CallableCurve`` differentiates
-    by finite differences. Instances are immutable after construction and
+    all orders 0..MAX_DERIVATIVE_ORDER on a 1-D parameter array, returning
+    shape (n, 3), and kinds built on a base curve implement
+    ``_jet(ts, orders)``, which returns one such array per order. Only
+    ``CallableCurve`` differentiates by finite differences. Instances are immutable after construction and
     safe to evaluate concurrently; results do not depend on evaluation order.
     """
 
@@ -113,9 +120,10 @@ class ParamCurve:
         """Derivative of the given order at ``t``, a parameter or a 1-D array.
 
         Returns shape (3,) for a scalar and (n, 3) for an array of n. Raises
-        UnsupportedOrder for orders outside 0..3 and OutOfDomain, naming the
-        first offending entry, for parameters outside the closed interval
-        (see ``outside`` for the round off slack).
+        UnsupportedOrder for orders outside 0..MAX_DERIVATIVE_ORDER (0..3 on
+        a ``CallableCurve``) and OutOfDomain, naming the first offending
+        entry, for parameters outside the closed interval (see ``outside``
+        for the round off slack).
         """
         return self.jet(t, (order,))[0]
 
@@ -124,8 +132,8 @@ class ParamCurve:
         it, from one domain check and, for kinds built on a base, one base jet."""
         orders = tuple(orders)
         for order in orders:
-            if order not in (0, 1, 2, 3):
-                raise UnsupportedOrder(order)
+            if order not in range(MAX_DERIVATIVE_ORDER + 1):
+                raise UnsupportedOrder(order, MAX_DERIVATIVE_ORDER)
         ts = np.asarray(t, dtype=float)
         lo, hi = self._t_lo, self._t_hi
         bad = outside(ts, lo, hi)
@@ -150,6 +158,9 @@ class CallableCurve(ParamCurve):
     Derivatives come from finite differences of positions, one parameter at
     a time, so this is the right wrapper for black box trajectories.
     fd_step defaults to DEFAULT_TOLERANCES.fd_step times the domain span.
+    Orders stop at 3: at that step the third difference is already mostly
+    round off and a fourth would be nothing else, so order 4, and the slant
+    test that needs it, raise UnsupportedOrder.
     """
 
     kind = "callable"
@@ -163,6 +174,11 @@ class CallableCurve(ParamCurve):
             raise InvalidField(f"fd_step must be strictly positive, got {fd_step}")
         self._fn = fn
         self._fd_step = fd_step
+
+    def _jet(self, ts: np.ndarray, orders: tuple) -> list:
+        if max(orders) > 3:
+            raise UnsupportedOrder(max(orders), 3)
+        return super()._jet(ts, orders)
 
     def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
         return np.array(
@@ -254,7 +270,8 @@ class Polyline(ParamCurve):
 
     A raw polyline has no curvature to speak of; the spline supplies the C2
     structure, and derivatives are derivatives of the spline (order 3 is
-    piecewise constant).
+    piecewise constant, order 4 zero). scipy is imported here rather than
+    at module level, so commands on other curves never load it.
     """
 
     kind = "polyline"
@@ -274,6 +291,8 @@ class Polyline(ParamCurve):
             raise InvalidField("points and knots must be finite")
         if not np.all(np.diff(kns) > 0):
             raise InvalidField("knots must be strictly increasing")
+        from scipy.interpolate import CubicSpline
+
         super().__init__(kns[0], kns[-1])
         self._points = pts.copy()
         self._knots = kns.copy()
@@ -346,7 +365,7 @@ def finite_difference_derivative(f, t, order, h, domain=None):
     if order == 0:
         return np.asarray(f(t), dtype=float)
     if order not in (1, 2, 3):
-        raise UnsupportedOrder(order)
+        raise UnsupportedOrder(order, 3)
     h = float(h)
     if not (math.isfinite(h) and h > 0):
         raise InvalidField(f"step must be strictly positive, got {h}")

@@ -30,10 +30,11 @@ class OutOfDomain(InputError):
 
 
 class UnsupportedOrder(InputError):
-    """Derivative order outside 0..3."""
+    """Derivative order outside 0..highest: 4 for exact kinds, 3 for curves
+    differentiated by finite differences."""
 
-    def __init__(self, order):
-        super().__init__(f"derivative order {order!r} not supported (expected 0, 1, 2, or 3)")
+    def __init__(self, order, highest):
+        super().__init__(f"derivative order {order!r} not supported (expected 0 to {highest})")
         self.order = order
 
 

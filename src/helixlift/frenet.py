@@ -286,9 +286,21 @@ class ReparamCurve(ParamCurve):
             t2 = -vdot / v**3
             out[2] = b[2] * (t1 * t1) + b[1] * t2
         if 3 in b:
-            vddot = np.sum(b[2] * b[2] + b[1] * b[3], axis=1, keepdims=True) / v - vdot * vdot / v
+            # w = (v^2)''/2 = v'^2 + v v''
+            w = np.sum(b[2] * b[2] + b[1] * b[3], axis=1, keepdims=True)
+            vddot = w / v - vdot * vdot / v
             t3 = (3.0 * vdot * vdot - v * vddot) / v**5
             out[3] = b[3] * t1**3 + 3.0 * b[2] * t1 * t2 + b[1] * t3
+        if 4 in b:
+            wdot = np.sum(3.0 * b[2] * b[3] + b[1] * b[4], axis=1, keepdims=True)
+            vdddot = (wdot - 3.0 * vdot * vddot) / v
+            t4 = (10.0 * v * vdot * vddot - v * v * vdddot - 15.0 * vdot**3) / v**7
+            out[4] = (
+                b[4] * t1**4
+                + 6.0 * b[3] * (t1 * t1) * t2
+                + b[2] * (3.0 * t2 * t2 + 4.0 * t1 * t3)
+                + b[1] * t4
+            )
         return [out[k] for k in orders]
 
 

@@ -2,13 +2,16 @@
 
 A general helix is detected through the Lancret criterion, kappa / tau
 constant, with the helix angle theta recovered from tan(theta) = kappa/tau.
-The slant test checks constancy of
+The slant test (Izumiya and Takeuchi, Turk. J. Math. 28, 2004) checks
+constancy of the dimensionless
 
     sigma = (kappa^2 / (kappa^2 + tau^2)^(3/2)) * d(tau/kappa)/ds
 
-with the derivative taken with respect to arc length. Bertrand pairing of
-two curves over the same parameter domain compares principal normals
-pointwise.
+with the derivative taken with respect to arc length. sigma is evaluated
+at each sample from the curve's first four derivatives in its own
+parameter, so it needs no arc length and no differences between samples.
+Bertrand pairing of two curves over the same parameter domain compares
+principal normals pointwise.
 """
 
 from __future__ import annotations
@@ -20,15 +23,16 @@ import numpy as np
 
 from .curves import same_domain, uniform_grid
 from .errors import DegenerateFrame, DomainMismatch, InvalidField, NotAHelix
-from .frenet import frame_at, integrate_speed
+from .frenet import frame_at, frames_from_derivatives, require_frames
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 #: Denominator floor in relative deviation, keeps sigma == 0 well defined.
 STAT_FLOOR = 1e-12
 
-#: Floor used for the slant quantity sigma specifically. Sigma carries units
-#: of curvature and sits at exact zero for every helix; round off in the
-#: grid differences (about 1e-14) must not register as relative deviation.
+#: Floor used for the slant quantity sigma specifically. Sigma sits at exact
+#: zero on every general helix, where the computed values are round off of
+#: about 1e-15 to 1e-14 (circular helices, their lifts, the paper's cubic);
+#: that must not register as relative deviation.
 SIGMA_FLOOR = 1e-6
 
 
@@ -57,13 +61,17 @@ def constancy_stat(values, floor: float = STAT_FLOOR) -> ConstancyStat:
     )
 
 
-def frame_grid(curve, grid_size, tol: Tolerances):
-    """The uniform grid of grid_size parameters, at least 3, and its frames.
+def frame_grid(curve, grid_size, tol: Tolerances, orders=(1, 2, 3)):
+    """The uniform grid of grid_size parameters, at least 3, the curve's jet
+    of ``orders`` (1, 2, 3, then any higher ones) on it, and its frames.
 
     Raises ZeroSpeed or DegenerateFrame for the first sample without a frame.
     """
     ts = uniform_grid(curve.t_lo, curve.t_hi, grid_size, least=3)
-    return ts, frame_at(curve, ts, tol)
+    jet = curve.jet(ts, orders)
+    frames, exists = frames_from_derivatives(*jet[:3], tol)
+    require_frames(frames, exists, ts, tol)
+    return ts, jet, frames
 
 
 def lancret_of(frames, tol: Tolerances):
@@ -83,7 +91,7 @@ def lancret_test(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANC
     flag is true. Raises DegenerateFrame if the torsion vanishes at any
     sample, since the ratio is undefined there.
     """
-    return lancret_of(frame_grid(curve, grid_size, tol)[1], tol)
+    return lancret_of(frame_grid(curve, grid_size, tol)[2], tol)
 
 
 def axis_of(frames, theta: float, ratio_stat: ConstancyStat, tol: Tolerances):
@@ -112,39 +120,48 @@ def helix_axis(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES
     constancy stat of the samples around it; raises NotAHelix when the
     Lancret test or the axis constancy fails.
     """
-    frames = frame_grid(curve, grid_size, tol)[1]
+    frames = frame_grid(curve, grid_size, tol)[2]
     is_helix, theta, ratio_stat = lancret_of(frames, tol)
     if not is_helix:
         raise NotAHelix(f"kappa/tau relative deviation {ratio_stat.rel_dev:.3e} exceeds tolerance")
     return axis_of(frames, theta, ratio_stat, tol)
 
 
-def slant_of(curve, ts, frames, tol: Tolerances):
-    """The slant helix test on a frame grid over ts; see slant_test."""
-    s = np.concatenate([[0.0], np.cumsum(integrate_speed(curve, ts[:-1], ts[1:]))])
-    h = np.diff(s)
-    h_lo, h_hi = h[:-1], h[1:]
-    ratios = frames.tau / frames.kappa
-    dr = (
-        ratios[2:] * h_lo * h_lo
-        + ratios[1:-1] * (h_hi * h_hi - h_lo * h_lo)
-        - ratios[:-2] * h_hi * h_hi
-    ) / (h_hi * h_lo * (h_hi + h_lo))
-    k2 = frames.kappa[1:-1] * frames.kappa[1:-1]
-    tau = frames.tau[1:-1]
-    stat = constancy_stat((k2 / (k2 + tau * tau) ** 1.5) * dr, floor=SIGMA_FLOOR)
+def slant_of(jet, frames, tol: Tolerances):
+    """The slant helix test on a jet of orders 1..4 and its frames; see slant_test.
+
+    With c = a' x a'', v = |a'|, P = c . a''' and Q = v^3 / |c|^3, tau/kappa
+    is P Q. Since c' = a' x a''' is orthogonal to a''',
+
+        d(tau/kappa)/dt = (c . a'''') Q + P Q (3 v'/v - 3 |c|'/|c|)
+
+    with v' = a' . a'' / v and |c|' = c . (a' x a''') / |c|, and dividing by
+    v gives the arc length derivative.
+    """
+    d1, d2, d3, d4 = jet
+    v = frames.speed
+    c = np.cross(d1, d2)
+    cn = np.linalg.norm(c, axis=1)
+    vdot = np.sum(d1 * d2, axis=1) / v
+    cndot = np.sum(c * np.cross(d1, d3), axis=1) / cn
+    p = np.sum(c * d3, axis=1)
+    dratio = (v / cn) ** 3 * (np.sum(c * d4, axis=1) + 3.0 * p * (vdot / v - cndot / cn))
+    k2 = frames.kappa * frames.kappa
+    sigma = k2 / (k2 + frames.tau * frames.tau) ** 1.5 * dratio / v
+    stat = constancy_stat(sigma, floor=SIGMA_FLOOR)
     return stat.rel_dev <= tol.constancy_tol, stat
 
 
 def slant_test(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Slant helix test: constancy of sigma over the grid interior.
+    """Slant helix test: constancy of sigma over every grid sample.
 
-    The derivative of tau/kappa is taken against cumulative arc length with
-    a three point difference that stays second order on the non-uniform
-    spacing. Endpoint samples have no centered neighbor and are skipped.
+    sigma is exact up to round off at each sample, from the curve's
+    derivatives of orders 1 to 4, so the verdict does not depend on the
+    grid spacing. Returns (is_slant_helix, sigma_stat); relative deviations
+    are taken against at least SIGMA_FLOOR.
     """
-    ts, frames = frame_grid(curve, grid_size, tol)
-    return slant_of(curve, ts, frames, tol)
+    _, jet, frames = frame_grid(curve, grid_size, tol, orders=(1, 2, 3, 4))
+    return slant_of(jet, frames, tol)
 
 
 def bertrand_test(curve_a, curve_b, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -157,7 +174,7 @@ def bertrand_test(curve_a, curve_b, grid_size: int = 256, tol: Tolerances = DEFA
         raise DomainMismatch(
             f"domains [{curve_a.t_lo}, {curve_a.t_hi}] and [{curve_b.t_lo}, {curve_b.t_hi}] differ"
         )
-    ts, frames_a = frame_grid(curve_a, grid_size, tol)
+    ts, _, frames_a = frame_grid(curve_a, grid_size, tol)
     dots = np.abs(np.sum(frames_a.N * frame_at(curve_b, ts, tol).N, axis=1))
     stat = constancy_stat(dots)
     return bool(np.min(dots) >= 1.0 - tol.vector_tol), stat
@@ -185,11 +202,11 @@ def classify_curve(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERA
     whose curvature and torsion are each constant. theta and axis are
     populated only for general helices.
     """
-    ts, frames = frame_grid(curve, grid_size, tol)
+    _, jet, frames = frame_grid(curve, grid_size, tol, orders=(1, 2, 3, 4))
     kappa_stat = constancy_stat(frames.kappa)
     tau_stat = constancy_stat(frames.tau)
     is_general, theta, ratio_stat = lancret_of(frames, tol)
-    is_slant, sigma_stat = slant_of(curve, ts, frames, tol)
+    is_slant, sigma_stat = slant_of(jet, frames, tol)
     is_circular = bool(
         is_general
         and kappa_stat.rel_dev <= tol.constancy_tol

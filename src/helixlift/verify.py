@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import fixtures
-from .curves import outside, uniform_grid
+from .curves import check_grid_size, outside, uniform_grid
 from .errors import NotAHelix, StencilOutOfDomain
 from .frenet import (
     FrenetFrame,
@@ -164,6 +164,12 @@ def run_theorem_checks(
     base normals. The oracle grid spans the domain minus the stencil margin.
     """
     lifted = lift_curve(alpha, spec, tol=tol, strict=True)
+    return _theorem_checks(alpha, lifted, grid_size, tol, oracle_step)
+
+
+def _theorem_checks(alpha, lifted, grid_size, tol, oracle_step=None) -> VerificationReport:
+    """run_theorem_checks on the strict lift of alpha it has built."""
+    spec = lifted.spec
     # One frame grid of alpha gives the axis and the base slant verdict.
     base = classify_curve(alpha, tol=tol)
     if not base.is_general_helix:
@@ -247,6 +253,7 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
     disagreements are data, recorded with agrees=False. Only the theorem
     checks carry pass flags.
     """
+    check_grid_size(grid_size, least=3)
     theta = math.pi / 4.0
     samples = (0.0, 0.5, 1.0, 2.0)
     literal = fixtures.paper_cubic()
@@ -321,7 +328,7 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
     ]
     entries = [_entry(*claim, samples, tol) for claim in claims]
 
-    main = run_theorem_checks(alpha_u, LiftSpec(theta=theta), grid_size=100, tol=tol)
+    main = _theorem_checks(alpha_u, lifted_u, grid_size=100, tol=tol)
 
     # Theorem 2 across the circular helix family plus the twisted cubic control.
     slant_runs = [main.theorem2.residual]

@@ -83,12 +83,17 @@ def test_array_eval_matches_scalar_calls(kind, order):
 
 
 @pytest.mark.parametrize("kind", sorted(JET_CURVES))
-@pytest.mark.parametrize("orders", [(1, 2, 3), (0, 1, 2, 3), (2,), (0,)],
+@pytest.mark.parametrize("orders", [(1, 2, 3), (0, 1, 2, 3), (2,), (0,), (1, 2, 3, 4), (0, 4)],
                          ids=lambda orders: "o" + "".join(map(str, orders)))
 def test_jet_equals_stacked_eval_calls(kind, orders):
     curve = JET_CURVES[kind]()
     assert curve.kind == kind
     ts = np.linspace(curve.t_lo, curve.t_hi, 11)
+    if kind == "callable" and 4 in orders:
+        # Finite differences stop at order 3.
+        with pytest.raises(UnsupportedOrder):
+            curve.jet(ts, orders)
+        return
     for t in (ts, float(ts[4])):
         got = curve.jet(t, orders)
         assert len(got) == len(orders)
@@ -97,7 +102,7 @@ def test_jet_equals_stacked_eval_calls(kind, orders):
     with pytest.raises(OutOfDomain):
         curve.jet(np.append(ts, curve.t_hi + 1.0), orders)
     with pytest.raises(UnsupportedOrder):
-        curve.jet(ts, orders + (4,))
+        curve.jet(ts, orders + (5,))
 
 
 def test_one_bad_entry_raises_out_of_domain():
@@ -227,5 +232,21 @@ def test_paper_suite_inverse_solves_stay_pinned(inverse_calls):
     # Pinned at the measured count: one solve per frame grid, lift grid,
     # oracle stencil and quadrature level on a reparameterized curve.
     run_paper_suite()
-    assert len(inverse_calls) <= 32
-    assert sum(inverse_calls) <= 14_148
+    assert len(inverse_calls) <= 15
+    assert sum(inverse_calls) <= 3_692
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-paper", "--samples", "2"],
+        ["lift", "--spec", "paper_cubic", "--theta", "auto", "--samples", "2"],
+        ["classify", "--spec", "paper_cubic", "--samples", "2"],
+    ],
+    ids=["verify-paper", "lift", "classify"],
+)
+def test_a_bad_grid_size_is_rejected_before_any_work(argv, inverse_calls, capsys):
+    # paper_cubic is not unit speed, so lift would build an arc length map first.
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: grid_size must be at least 3, got 2\n"
+    assert inverse_calls == []

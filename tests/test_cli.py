@@ -2,6 +2,9 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -388,3 +391,27 @@ def test_lift_of_a_curve_with_zero_speed_exits_two(tmp_path, capsys):
     assert err == (
         "degenerate geometry: speed vanishes near t=0.0; arc length map is not invertible\n"
     )
+
+
+def test_the_cli_imports_without_scipy():
+    # A fresh interpreter: this one has scipy loaded already. Only polylines need it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys; import helixlift.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--spec", "nope", "--samples", "2"], "grid_size must be at least 3, got 2"),
+        (["lift", "--spec", "nope", "--samples", "2"], "grid_size must be at least 3, got 2"),
+        (["sample", "--spec", "nope", "--n", "1"], "--n must be at least 2, got 1"),
+    ],
+    ids=["classify", "lift", "sample"],
+)
+def test_a_bad_grid_size_is_reported_before_a_bad_spec(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: {message}\n"

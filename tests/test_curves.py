@@ -67,7 +67,7 @@ def test_circular_helix_rejects_bad_radius():
 def test_eval_validates_order_and_domain():
     c = cubic()
     with pytest.raises(UnsupportedOrder):
-        c.eval(0.0, 4)
+        c.eval(0.0, 5)
     with pytest.raises(UnsupportedOrder):
         c.eval(0.0, -1)
     with pytest.raises(OutOfDomain):

@@ -1,7 +1,10 @@
 """CLI outputs against goldens recorded at commit f9ae52a.
 
 The files under data/golden are the outputs of these commands, run in an
-empty directory at that commit:
+empty directory at that commit, except theorem2's residual in
+verify_paper.json and verify_paper.stdout. That residual is sigma's round
+off over SIGMA_FLOOR, and it was recorded again when sigma became exact
+(order 4 jets in place of differences over arc length):
 
     helixlift verify-paper --out verify_paper.json
     helixlift lift --spec circular_helix:2,1 --theta auto --emit lifted.json
