@@ -20,10 +20,10 @@ import numpy as np
 from . import fixtures
 from .curvespec import parse_curve_spec, serialize_curve_spec
 from .curves import check_grid_size, uniform_grid
-from .errors import DegenerateGeometryError, InputError, InvalidField, ParseError
+from .errors import DegenerateGeometryError, InputError, InvalidField, NotUnitSpeed, ParseError
 from .frenet import frame_at, frames_from_derivatives, reparam_by_arclength
-from .helix import classify_curve, lancret_test
-from .lift import LiftSpec, lift_curve
+from .helix import classify_curve
+from .lift import LiftSpec, lift_curve, require_unit_speed
 from .tolerances import DEFAULT_TOLERANCES
 from .verify import run_paper_suite
 
@@ -132,25 +132,13 @@ def _cmd_frenet(args) -> int:
 
 def _cmd_lift(args) -> int:
     check_grid_size(args.samples, least=3)
-    base = _load_curve(args.spec)
     tol = _tolerances(args)
-
-    reparameterized = False
-    speeds = np.linalg.norm(base.eval(uniform_grid(base.t_lo, base.t_hi, 64), 1), axis=1)
-    if not np.max(np.abs(speeds - 1.0)) <= tol.vector_tol:
-        base = reparam_by_arclength(base, tol=tol)
-        reparameterized = True
-        print("note: base curve is not unit speed, reparameterized by arc length",
-              file=sys.stderr)
-
-    if args.theta == "auto":
-        _, theta, _ = lancret_test(base, grid_size=args.samples, tol=tol)
-    else:
+    theta = None
+    if args.theta != "auto":
         try:
             theta = float(args.theta)
         except ValueError:
             raise InvalidField(f"--theta expects a number or 'auto', got {args.theta!r}") from None
-
     offset = _parse_vec3(args.offset, "--offset")
     if args.axis in ("unit", "paper", "paper_printed"):
         mode, axis = ("paper_printed" if args.axis.startswith("paper") else "unit"), None
@@ -158,12 +146,22 @@ def _cmd_lift(args) -> int:
         mode, axis = "explicit", _parse_vec3(args.axis, "--axis")
     spec = LiftSpec(theta=theta, s0=args.s0, offset=offset, axis_mode=mode, axis=axis)
 
+    base = _load_curve(args.spec)
+    # Reparameterize where strict lift_curve's unit speed gate, on its grid, would fail.
+    ts = uniform_grid(base.t_lo, base.t_hi, args.samples)
+    reparameterized = False
+    try:
+        require_unit_speed(np.linalg.norm(base.eval(ts, 1), axis=-1), tol)
+    except NotUnitSpeed:
+        base = reparam_by_arclength(base, tol=tol)
+        reparameterized = True
+
     lifted = lift_curve(base, spec, grid_size=args.samples, tol=tol, strict=not args.no_strict)
 
     if args.emit:
         Path(args.emit).write_text(serialize_curve_spec(lifted))
     doc = {
-        "theta": float(theta),
+        "theta": float(lifted.spec.theta),
         "axis_mode": spec.axis_mode,
         "axis": _vec_list(lifted.axis),
         "s0": float(spec.s0),
@@ -173,6 +171,8 @@ def _cmd_lift(args) -> int:
         "emitted": args.emit or None,
     }
     _emit_json(doc, args.out)
+    if reparameterized:
+        print("note: base curve is not unit speed, reparameterized by arc length", file=sys.stderr)
     return 0
 
 
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", default="0,0,0", help="translation x,y,z (default 0,0,0)")
     p.add_argument("--samples", type=int, default=256, help="grid size for checks (default 256)")
     p.add_argument("--no-strict", action="store_true",
-                   help="skip the unit speed and helix checks on the base curve")
+                   help="skip the unit speed check, and the helix check with an x,y,z --axis")
     p.add_argument("--emit", default=None, help="write the lifted curve spec JSON here")
     p.set_defaults(func=_cmd_lift)
 

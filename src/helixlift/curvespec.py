@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .curves import CircularHelix, ParamCurve, Polyline, PolynomialCurve, same_domain
+from .curves import (CircularHelix, ParamCurve, Polyline, PolynomialCurve, check_grid_size,
+                     same_domain)
 from .errors import InputError, InvalidField, ParseError, UnknownKind
 from .frenet import ReparamCurve, reparam_by_arclength
 from .lift import LiftSpec, LiftedCurve, lift_curve
@@ -140,6 +141,7 @@ def _build_reparam(doc, depth):
     grid = doc["grid"]
     if isinstance(grid, bool) or not isinstance(grid, int):
         raise InvalidField(f"'grid' must be an integer >= 2, got {grid!r}")
+    check_grid_size(grid)
     return reparam_by_arclength(_base(doc, depth), grid_size=grid)
 
 

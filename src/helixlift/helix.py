@@ -83,6 +83,12 @@ def lancret_of(frames, tol: Tolerances):
     return stat.rel_dev <= tol.constancy_tol, theta, stat
 
 
+def require_helix(is_helix: bool, ratio_stat: ConstancyStat) -> None:
+    """Raise NotAHelix unless the Lancret test passed."""
+    if not is_helix:
+        raise NotAHelix(f"kappa/tau relative deviation {ratio_stat.rel_dev:.3e} exceeds tolerance")
+
+
 def lancret_test(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES):
     """Lancret criterion on a uniform grid.
 
@@ -122,8 +128,7 @@ def helix_axis(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES
     """
     frames = frame_grid(curve, grid_size, tol)[2]
     is_helix, theta, ratio_stat = lancret_of(frames, tol)
-    if not is_helix:
-        raise NotAHelix(f"kappa/tau relative deviation {ratio_stat.rel_dev:.3e} exceeds tolerance")
+    require_helix(is_helix, ratio_stat)
     return axis_of(frames, theta, ratio_stat, tol)
 
 

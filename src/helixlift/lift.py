@@ -16,20 +16,14 @@ independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .curves import ParamCurve, as_vec3, uniform_grid
-from .errors import (
-    DegenerateDenominator,
-    InvalidField,
-    NotAHelix,
-    NotUnitSpeed,
-    ThetaMismatch,
-)
+from .errors import DegenerateDenominator, InvalidField, NotUnitSpeed, ThetaMismatch
 from .frenet import frames_from_derivatives, require_frames
-from .helix import axis_of, lancret_of
+from .helix import axis_of, lancret_of, require_helix
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 AXIS_MODES = ("unit", "paper_printed", "explicit")
@@ -42,22 +36,24 @@ _DEGENERATE_THETA = 1e-12
 class LiftSpec:
     """Parameters of a lift.
 
+    theta lies in [0, pi/2], or is None for the base's measured helix angle.
     axis_mode chooses how the axis vector is obtained: "unit" measures the
     base helix axis and normalizes it, "paper_printed" doubles that unit
     axis (the convention used by the printed worked example), and
     "explicit" takes the axis field verbatim.
     """
 
-    theta: float
+    theta: float | None
     s0: float = 0.0
     offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
     axis_mode: str = "unit"
     axis: np.ndarray | None = None
 
     def __post_init__(self):
-        self.theta = float(self.theta)
-        if not (math.isfinite(self.theta) and 0.0 <= self.theta <= math.pi / 2.0):
-            raise InvalidField(f"theta must lie in [0, pi/2], got {self.theta}")
+        if self.theta is not None:
+            self.theta = float(self.theta)
+            if not (math.isfinite(self.theta) and 0.0 <= self.theta <= math.pi / 2.0):
+                raise InvalidField(f"theta must lie in [0, pi/2], got {self.theta}")
         self.s0 = float(self.s0)
         if not math.isfinite(self.s0):
             raise InvalidField(f"s0 must be finite, got {self.s0}")
@@ -75,7 +71,8 @@ class LiftSpec:
 
     @property
     def is_degenerate(self) -> bool:
-        return self.theta < _DEGENERATE_THETA or (math.pi / 2.0 - self.theta) < _DEGENERATE_THETA
+        t = self.theta
+        return t is not None and (t < _DEGENERATE_THETA or (math.pi / 2.0 - t) < _DEGENERATE_THETA)
 
 
 class LiftedCurve(ParamCurve):
@@ -114,6 +111,14 @@ class LiftedCurve(ParamCurve):
         return outs
 
 
+def require_unit_speed(speed, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    """Strict lift_curve's gate: NotUnitSpeed unless every speed is within vector_tol of 1."""
+    worst = float(np.max(np.abs(speed - 1.0)))
+    if not worst <= tol.vector_tol:
+        raise NotUnitSpeed(f"speed deviates from 1 by {worst:.3e}; "
+                           "reparameterize by arc length first")
+
+
 def lift_curve(
     alpha: ParamCurve,
     spec: LiftSpec,
@@ -123,59 +128,48 @@ def lift_curve(
 ) -> LiftedCurve:
     """Construct the lift of ``alpha`` described by ``spec``.
 
-    With strict=True (the default) the base must be unit speed within
-    vector_tol, must pass the Lancret test, and for non-explicit axis modes
-    its measured helix angle must agree with spec.theta. strict=False skips
-    the unit speed gate, which is what reproducing the printed worked
-    example requires, since its base curve is evaluated in its original
-    non arc length parameter.
+    Everything measured comes from one frame grid of alpha with grid_size
+    samples. spec.theta None means alpha's helix angle as lancret_test
+    measures it; the returned curve's spec holds that angle. With strict=True
+    (the default) the base must be unit speed within vector_tol and pass the
+    Lancret test, whatever the axis mode, and for non-explicit axis modes its
+    measured helix angle must agree with spec.theta. strict=False skips the
+    unit speed gate, which the printed worked example needs since its base
+    keeps its non arc length parameter, and with an explicit axis it skips
+    the Lancret test too.
 
     Degenerate angles are allowed: theta = pi/2 is a pure translation by
     offset (the axis term vanishes), theta = 0 produces the straight line
-    offset + axis * (s - s0) and therefore requires an explicit axis.
+    offset + axis * (s - s0) and therefore requires an explicit axis. A given
+    degenerate theta builds no grid; a measured one skips the later gates.
     """
-    if spec.is_degenerate:
-        if spec.theta < _DEGENERATE_THETA:
-            if spec.axis_mode != "explicit":
-                raise InvalidField(
-                    "theta = 0 collapses the lift to a line along the axis; "
-                    "axis_mode must be 'explicit'"
-                )
-            axis = spec.axis
-        else:
-            # theta = pi/2: the axis term carries cos(theta) = 0 and is inert.
-            axis = spec.axis if spec.axis is not None else np.zeros(3)
-        return LiftedCurve(alpha, spec, axis)
-
-    if strict or spec.axis_mode != "explicit":
-        # One jet serves the unit speed gate and the frame grid.
+    gated = strict or spec.axis_mode != "explicit"
+    if spec.theta is None or (gated and not spec.is_degenerate):
+        # One jet serves the unit speed gate, the frames and the measured angle.
         ts = uniform_grid(alpha.t_lo, alpha.t_hi, grid_size, least=3)
         frames, exists = frames_from_derivatives(*alpha.jet(ts, (1, 2, 3)), tol)
-
-    if strict:
-        worst = float(np.max(np.abs(frames.speed - 1.0)))
-        if worst > tol.vector_tol:
-            raise NotUnitSpeed(
-                f"speed deviates from 1 by {worst:.3e}; reparameterize by arc length first"
-            )
-
-    if spec.axis_mode == "explicit":
-        axis = spec.axis
-    else:
+        if strict:
+            require_unit_speed(frames.speed, tol)
         require_frames(frames, exists, ts, tol)
         is_helix, theta_measured, ratio_stat = lancret_of(frames, tol)
-        if not is_helix:
-            raise NotAHelix(
-                f"kappa/tau relative deviation {ratio_stat.rel_dev:.3e} exceeds tolerance"
-            )
-        if abs(theta_measured - spec.theta) > tol.constancy_tol:
-            raise ThetaMismatch(
-                f"spec theta {spec.theta} vs measured helix angle {theta_measured}"
-            )
-        unit_axis, _ = axis_of(frames, theta_measured, ratio_stat, tol)
-        axis = unit_axis if spec.axis_mode == "unit" else 2.0 * unit_axis
+        if spec.theta is None:
+            spec = replace(spec, theta=theta_measured)
 
-    return LiftedCurve(alpha, spec, axis)
+    if spec.is_degenerate:
+        if spec.theta < _DEGENERATE_THETA and spec.axis_mode != "explicit":
+            raise InvalidField("theta = 0 collapses the lift to a line along the axis; "
+                               "axis_mode must be 'explicit'")
+        # At theta = pi/2 the axis term carries cos(theta) = 0 and is inert.
+        return LiftedCurve(alpha, spec, np.zeros(3) if spec.axis is None else spec.axis)
+
+    if gated:
+        require_helix(is_helix, ratio_stat)
+    if spec.axis_mode == "explicit":
+        return LiftedCurve(alpha, spec, spec.axis)
+    if abs(theta_measured - spec.theta) > tol.constancy_tol:
+        raise ThetaMismatch(f"spec theta {spec.theta} vs measured helix angle {theta_measured}")
+    unit_axis, _ = axis_of(frames, theta_measured, ratio_stat, tol)
+    return LiftedCurve(alpha, spec, unit_axis if spec.axis_mode == "unit" else 2.0 * unit_axis)
 
 
 @dataclass(frozen=True)

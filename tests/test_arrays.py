@@ -18,13 +18,16 @@ from helixlift import (
     classify_curve,
     cli,
     frame_at,
+    helix,
+    lift,
     lift_curve,
     oracle_frame,
     reparam_by_arclength,
     run_paper_suite,
     transform_curve,
 )
-from helixlift.errors import UnsupportedOrder
+from helixlift.curvespec import parse_curve_spec
+from helixlift.errors import InvalidField, UnsupportedOrder
 from helixlift.fixtures import circular_helix, paper_cubic
 from helixlift.frenet import ArcLengthMap
 
@@ -249,4 +252,68 @@ def test_a_bad_grid_size_is_rejected_before_any_work(argv, inverse_calls, capsys
     # paper_cubic is not unit speed, so lift would build an arc length map first.
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: grid_size must be at least 3, got 2\n"
+    assert inverse_calls == []
+
+
+@pytest.fixture
+def arclength_maps(monkeypatch):
+    built = []
+    init = ArcLengthMap.__init__
+
+    def counting(self, curve, *args, **kwargs):
+        built.append(curve)
+        init(self, curve, *args, **kwargs)
+
+    monkeypatch.setattr(ArcLengthMap, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--offset", "1,2"], "--offset expects three comma separated numbers, got '1,2'"),
+        (["--axis", "0,0"], "--axis expects three comma separated numbers, got '0,0'"),
+        (["--axis", "0,0,0"], "explicit axis must be nonzero"),
+        (["--s0", "nan"], "s0 must be finite, got nan"),
+        (["--theta", "soon"], "--theta expects a number or 'auto', got 'soon'"),
+        (["--theta", "2"], "theta must lie in [0, pi/2], got 2.0"),
+    ],
+    ids=["offset", "axis_short", "axis_zero", "s0_nan", "theta_word", "theta_range"],
+)
+def test_a_bad_lift_argument_is_rejected_before_any_work(argv, message, inverse_calls,
+                                                         arclength_maps, capsys):
+    # paper_cubic is not unit speed: any work would start with its arc length map.
+    assert cli.main(["lift", "--spec", "paper_cubic", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert arclength_maps == []
+    assert inverse_calls == []
+
+
+def test_an_auto_lift_measures_its_base_once(inverse_calls, capsys):
+    assert cli.main(["lift", "--spec", "paper_cubic", "--theta", "auto"]) == 0
+    assert inverse_calls == [256]
+
+
+def test_paper_suite_builds_each_frame_grid_once(monkeypatch):
+    sizes = []
+    kernel = helix.frames_from_derivatives
+
+    def counting(d1, *rest):
+        sizes.append(len(d1))
+        return kernel(d1, *rest)
+
+    for module in (helix, lift):
+        monkeypatch.setattr(module, "frames_from_derivatives", counting)
+    run_paper_suite()
+    assert sizes.count(256) == 14
+
+
+def test_a_bad_spec_grid_is_rejected_before_its_base_is_built(inverse_calls):
+    # Building the lift of the inner reparameterized cubic takes a 256 point frame grid.
+    cubic = {"kind": "polynomial", "domain": [-3, 3], "coeffs": [[0, 6], [0, 0, 3], [0, 0, 0, 1]]}
+    lifted = {"kind": "lifted", "theta": math.pi / 4,
+              "base": {"kind": "arclength_reparam", "base": cubic}}
+    doc = {"kind": "arclength_reparam", "grid": 1, "base": lifted}
+    with pytest.raises(InvalidField, match="grid_size must be at least 2, got 1"):
+        parse_curve_spec(json.dumps(doc))
     assert inverse_calls == []

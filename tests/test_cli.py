@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from helixlift import cli
-from helixlift.curves import MAX_GRID_SIZE
+from helixlift.curves import MAX_GRID_SIZE, ParamCurve
 from helixlift.curvespec import parse_curve_spec, serialize_curve_spec
+from helixlift.errors import UnsupportedOrder
 from helixlift.verify import TheoremResult, VerificationReport
 
 
@@ -415,3 +418,85 @@ def test_a_bad_grid_size_is_reported_before_a_bad_spec(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err == f"error: {message}\n"
+
+
+def test_a_strict_explicit_axis_lift_checks_the_helix(capsys):
+    argv = ["lift", "--spec", "twisted_cubic", "--theta", "auto", "--axis", "0,0,1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "degenerate geometry: kappa/tau relative deviation 2.918e-01 exceeds tolerance\n"
+    code, out, _ = run(capsys, *argv, "--no-strict")
+    assert code == 0
+    assert json.loads(out)["axis"] == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, want_err",
+    [
+        (["--spec", "nope", "--offset", "1,2"], 1,
+         "error: --offset expects three comma separated numbers, got '1,2'\n"),
+        (["--spec", "twisted_cubic", "--theta", "auto"], 2,
+         "degenerate geometry: kappa/tau relative deviation 2.918e-01 exceeds tolerance\n"),
+    ],
+    ids=["arguments_before_spec", "no_note_on_failure"],
+)
+def test_a_failing_lift_prints_one_line(capsys, argv, want_code, want_err):
+    assert run(capsys, "lift", *argv) == (want_code, "", want_err)
+
+
+class WobblyHelix(ParamCurve):
+    """The unit speed helix (0.6 cos u, 0.6 sin u, 0.8 u) at u = phi(t) on
+    [0, 2 pi], with speed phi'(t) = 1 + 1e-3 sin^2(63 t / 2). The speed is 1
+    at the 64 parameters 2 pi k / 63 and off by up to 1e-3 between them.
+    Derivatives are exact, by the chain rule."""
+
+    kind = "wobbly_helix"
+    EPS, OMEGA = 1e-3, 31.5
+
+    def __init__(self):
+        super().__init__(0.0, 2.0 * math.pi)
+
+    def _evaluate(self, ts, order):
+        if order > 3:
+            raise UnsupportedOrder(order, 3)
+        e, w = self.EPS, self.OMEGA
+        u = ts + e * (ts / 2.0 - np.sin(2.0 * w * ts) / (4.0 * w))
+        phi = [u, 1.0 + e * np.sin(w * ts) ** 2, e * w * np.sin(2.0 * w * ts),
+               2.0 * e * w * w * np.cos(2.0 * w * ts)]
+
+        def h(k):  # k-th derivative of the unit speed helix at u
+            out = np.zeros((len(ts), 3))
+            out[:, 0] = 0.6 * np.cos(u + k * math.pi / 2.0)
+            out[:, 1] = 0.6 * np.sin(u + k * math.pi / 2.0)
+            out[:, 2] = 0.8 * u if k == 0 else (0.8 if k == 1 else 0.0)
+            return out
+
+        p1, p2, p3 = (phi[k][:, None] for k in (1, 2, 3))
+        if order == 0:
+            return h(0)
+        if order == 1:
+            return h(1) * p1
+        if order == 2:
+            return h(2) * p1**2 + h(1) * p2
+        return h(3) * p1**3 + 3.0 * h(2) * p1 * p2 + h(1) * p3
+
+
+def test_wobbly_helix_derivatives_match_differences():
+    curve, ts, step = WobblyHelix(), np.linspace(0.5, 5.5, 7), 1e-5
+    for k in (1, 2, 3):
+        diff = (curve.eval(ts + step, k - 1) - curve.eval(ts - step, k - 1)) / (2.0 * step)
+        np.testing.assert_allclose(curve.eval(ts, k), diff, atol=1e-6)
+
+
+def test_lift_reparameterizes_by_the_strict_gate_grid(monkeypatch, capsys):
+    # A 64 point probe sees unit speed here; the 256 point grid does not.
+    curve = WobblyHelix()
+    probe = np.linalg.norm(curve.eval(np.linspace(0.0, 2.0 * math.pi, 64), 1), axis=1)
+    assert np.max(np.abs(probe - 1.0)) < 1e-12
+    monkeypatch.setattr(cli, "_load_curve", lambda spec: curve)
+    code, out, err = run(capsys, "lift", "--spec", "wobbly", "--theta", "auto")
+    assert code == 0
+    assert err == "note: base curve is not unit speed, reparameterized by arc length\n"
+    doc = json.loads(out)
+    assert doc["base_reparameterized"] is True
+    assert abs(doc["theta"] - math.atan2(0.6, 0.8)) < 1e-9

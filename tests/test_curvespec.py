@@ -127,3 +127,11 @@ def test_polyline_domain_must_match_knots():
     }
     with pytest.raises(InvalidField):
         curve_from_dict(doc)
+
+
+def test_a_reparam_grid_is_checked_before_its_base():
+    doc = {"kind": "arclength_reparam", "grid": 1, "base": {"kind": "nope"}}
+    with pytest.raises(InvalidField, match="^grid_size must be at least 2, got 1$"):
+        curve_from_dict(doc)
+    with pytest.raises(InvalidField, match="'grid' must be an integer >= 2, got 2.5"):
+        curve_from_dict({**doc, "grid": 2.5})

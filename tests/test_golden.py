@@ -1,14 +1,19 @@
-"""CLI outputs against goldens recorded at commit f9ae52a.
+"""CLI outputs against goldens recorded at commits f9ae52a and 1425b73.
 
 The files under data/golden are the outputs of these commands, run in an
-empty directory at that commit, except theorem2's residual in
-verify_paper.json and verify_paper.stdout. That residual is sigma's round
-off over SIGMA_FLOOR, and it was recorded again when sigma became exact
-(order 4 jets in place of differences over arc length):
+empty directory. The first three were recorded at f9ae52a, except
+theorem2's residual in verify_paper.json and verify_paper.stdout. That
+residual is sigma's round off over SIGMA_FLOOR, and it was recorded again
+when sigma became exact (order 4 jets in place of differences over arc
+length). The last two were recorded at 1425b73, before lift_curve measured
+an auto theta itself; the second one's base is already unit speed, so it is
+not reparameterized:
 
     helixlift verify-paper --out verify_paper.json
     helixlift lift --spec circular_helix:2,1 --theta auto --emit lifted.json
     helixlift sample --spec lifted.json --n 50 --frames --csv sample.csv
+    helixlift lift --spec paper_cubic --theta auto --axis paper --samples 128 --emit lifted_paper.json
+    helixlift lift --spec circular_helix:0.6,0.8 --theta auto
 
 with stdout and stderr saved as <name>.stdout and <name>.stderr (absent when
 empty). Refactors must keep the same frames, verdicts, lifts and errata
@@ -30,6 +35,9 @@ RUNS = [
      0, ["lifted.json"]),
     ("sample", ["sample", "--spec", "lifted.json", "--n", "50", "--frames", "--csv", "sample.csv"],
      0, ["sample.csv"]),
+    ("lift_paper", ["lift", "--spec", "paper_cubic", "--theta", "auto", "--axis", "paper",
+                    "--samples", "128", "--emit", "lifted_paper.json"], 0, ["lifted_paper.json"]),
+    ("lift_unit_speed", ["lift", "--spec", "circular_helix:0.6,0.8", "--theta", "auto"], 0, []),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from helixlift import (
+    DegenerateFrame,
     LiftSpec,
     NotAHelix,
     NotUnitSpeed,
@@ -14,9 +15,14 @@ from helixlift import (
     c_factor,
     closed_form_lift_frame,
     frame_at,
+    lancret_test,
     lift_curve,
+    parse_curve_spec,
     reparam_by_arclength,
+    serialize_curve_spec,
 )
+from helixlift import lift as lift_module
+from helixlift.curves import PolynomialCurve
 from helixlift.errors import DegenerateDenominator, InvalidField
 from helixlift.fixtures import (
     SQRT2,
@@ -24,6 +30,7 @@ from helixlift.fixtures import (
     paper_cubic,
     printed_lift,
     quartic_non_helix,
+    twisted_cubic,
 )
 
 THETA = math.pi / 4
@@ -88,6 +95,63 @@ def test_strict_requires_a_helix():
 def test_strict_checks_theta():
     with pytest.raises(ThetaMismatch):
         lift_curve(unit_cubic(), LiftSpec(theta=math.pi / 3))
+
+
+def test_strict_checks_the_helix_with_an_explicit_axis():
+    base = reparam_by_arclength(twisted_cubic())
+    spec = LiftSpec(theta=0.5, axis_mode="explicit", axis=np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(NotAHelix):
+        lift_curve(base, spec)
+    assert lift_curve(base, spec, strict=False).axis.tolist() == [0.0, 0.0, 1.0]
+
+
+def test_strict_needs_frames_with_an_explicit_axis():
+    line = PolynomialCurve([[0.0, 1.0], [0.0], [0.0]], (0.0, 2.0))  # unit speed, no frame
+    spec = LiftSpec(theta=0.5, axis_mode="explicit", axis=np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(DegenerateFrame):
+        lift_curve(line, spec)
+    npt.assert_allclose(lift_curve(line, spec, strict=False).eval(1.0, 0),
+                        [math.sin(0.5), math.cos(0.5), 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("axis_mode", ["unit", "paper_printed"])
+def test_measured_theta_is_the_lancret_angle(axis_mode):
+    base = unit_cubic()
+    lifted = lift_curve(base, LiftSpec(theta=None, axis_mode=axis_mode))
+    assert lifted.spec.theta == lancret_test(base)[1]
+    given = lift_curve(base, LiftSpec(theta=lifted.spec.theta, axis_mode=axis_mode))
+    assert np.array_equal(lifted.axis, given.axis)
+    text = serialize_curve_spec(lifted)
+    assert serialize_curve_spec(parse_curve_spec(text)) == text
+    assert parse_curve_spec(text).spec.theta == lifted.spec.theta
+
+
+def test_measured_theta_without_strict_skips_the_lancret_gate():
+    base = reparam_by_arclength(twisted_cubic())
+    spec = LiftSpec(theta=None, axis_mode="explicit", axis=np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(NotAHelix):
+        lift_curve(base, spec)
+    assert lift_curve(base, spec, strict=False).spec.theta == lancret_test(base)[1]
+
+
+def test_a_measured_degenerate_theta_takes_the_degenerate_path():
+    flat = reparam_by_arclength(circular_helix(1e-6, 1e-19))  # kappa/tau = 1e13
+    lifted = lift_curve(flat, LiftSpec(theta=None))
+    assert math.pi / 2 - lifted.spec.theta < 1e-12
+    assert lifted.axis.tolist() == [0.0, 0.0, 0.0]
+    steep = reparam_by_arclength(circular_helix(1e-19, 1e-6))  # kappa/tau = 1e-13
+    with pytest.raises(InvalidField, match="axis_mode must be 'explicit'"):
+        lift_curve(steep, LiftSpec(theta=None))
+
+
+def test_a_given_degenerate_theta_builds_no_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a frame grid was built")
+
+    monkeypatch.setattr(lift_module, "frames_from_derivatives", no_grid)
+    lift_curve(unit_cubic(), LiftSpec(theta=math.pi / 2))
+    lift_curve(paper_cubic(), LiftSpec(theta=0.5, axis_mode="explicit", axis=np.ones(3)),
+               strict=False)
 
 
 def test_anchor_and_offset():
