@@ -23,7 +23,7 @@ from .curves import check_grid_size, uniform_grid
 from .errors import DegenerateGeometryError, InputError, InvalidField, NotUnitSpeed, ParseError
 from .frenet import frame_at, frames_from_derivatives, reparam_by_arclength
 from .helix import classify_curve
-from .lift import LiftSpec, lift_curve, require_unit_speed
+from .lift import LiftSpec, _lift_on_grid, lift_curve, require_unit_speed
 from .tolerances import DEFAULT_TOLERANCES
 from .verify import run_paper_suite
 
@@ -147,16 +147,21 @@ def _cmd_lift(args) -> int:
     spec = LiftSpec(theta=theta, s0=args.s0, offset=offset, axis_mode=mode, axis=axis)
 
     base = _load_curve(args.spec)
-    # Reparameterize where strict lift_curve's unit speed gate, on its grid, would fail.
+    strict = not args.no_strict
+    # One jet on strict lift_curve's grid: where its unit speed gate passes,
+    # the lift reads its frames; elsewhere the base is reparameterized.
     ts = uniform_grid(base.t_lo, base.t_hi, args.samples)
+    jet = base.jet(ts, (1, 2, 3))
     reparameterized = False
     try:
-        require_unit_speed(np.linalg.norm(base.eval(ts, 1), axis=-1), tol)
+        require_unit_speed(np.linalg.norm(jet[0], axis=-1), tol)
     except NotUnitSpeed:
         base = reparam_by_arclength(base, tol=tol)
         reparameterized = True
-
-    lifted = lift_curve(base, spec, grid_size=args.samples, tol=tol, strict=not args.no_strict)
+        lifted = lift_curve(base, spec, grid_size=args.samples, tol=tol, strict=strict)
+    else:
+        grid = (ts, *frames_from_derivatives(*jet, tol))
+        lifted = _lift_on_grid(base, spec, lambda: grid, tol, strict)
 
     if args.emit:
         Path(args.emit).write_text(serialize_curve_spec(lifted))

@@ -208,6 +208,11 @@ def classify_curve(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERA
     populated only for general helices.
     """
     _, jet, frames = frame_grid(curve, grid_size, tol, orders=(1, 2, 3, 4))
+    return classify_of(jet, frames, tol)
+
+
+def classify_of(jet, frames, tol: Tolerances) -> HelixClassification:
+    """classify_curve on a jet of orders 1..4 and its frames; see classify_curve."""
     kappa_stat = constancy_stat(frames.kappa)
     tau_stat = constancy_stat(frames.tau)
     is_general, theta, ratio_stat = lancret_of(frames, tol)

@@ -101,7 +101,12 @@ class LiftedCurve(ParamCurve):
         return self._axis
 
     def _jet(self, ts: np.ndarray, orders: tuple) -> list:
-        outs = [self._sin * d for d in self._base.jet(ts, orders)]
+        return self.lift_jet(ts, orders, self._base.jet(ts, orders))
+
+    def lift_jet(self, ts: np.ndarray, orders: tuple, base_jet: list) -> list:
+        """The lift's jet of ``orders`` at the 1-D array ts, from the base's jet
+        of the same orders there; equal to ``jet(ts, orders)``."""
+        outs = [self._sin * d for d in base_jet]
         for i, k in enumerate(orders):
             if k == 0:
                 line = self._axis * ((ts - self._spec.s0) * self._cos)[:, None]
@@ -143,11 +148,22 @@ def lift_curve(
     offset + axis * (s - s0) and therefore requires an explicit axis. A given
     degenerate theta builds no grid; a measured one skips the later gates.
     """
-    gated = strict or spec.axis_mode != "explicit"
-    if spec.theta is None or (gated and not spec.is_degenerate):
+
+    def grid():
         # One jet serves the unit speed gate, the frames and the measured angle.
         ts = uniform_grid(alpha.t_lo, alpha.t_hi, grid_size, least=3)
-        frames, exists = frames_from_derivatives(*alpha.jet(ts, (1, 2, 3)), tol)
+        return ts, *frames_from_derivatives(*alpha.jet(ts, (1, 2, 3)), tol)
+
+    return _lift_on_grid(alpha, spec, grid, tol, strict)
+
+
+def _lift_on_grid(alpha, spec, grid, tol, strict) -> LiftedCurve:
+    """lift_curve on alpha's grid: grid() returns (ts, frames, exists), the
+    frames as frames_from_derivatives gives them for alpha's jet at ts, and is
+    called only where lift_curve measures alpha."""
+    gated = strict or spec.axis_mode != "explicit"
+    if spec.theta is None or (gated and not spec.is_degenerate):
+        ts, frames, exists = grid()
         if strict:
             require_unit_speed(frames.speed, tol)
         require_frames(frames, exists, ts, tol)

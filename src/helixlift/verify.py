@@ -25,8 +25,8 @@ from .frenet import (
     reparam_by_arclength,
     require_frames,
 )
-from .helix import classify_curve, constancy_stat, slant_test
-from .lift import LiftSpec, closed_form_lift_frame, lift_curve
+from .helix import classify_curve, classify_of, constancy_stat, slant_of, slant_test
+from .lift import LiftSpec, _lift_on_grid, closed_form_lift_frame, lift_curve
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 _FLOOR = 1e-12
@@ -164,14 +164,16 @@ def run_theorem_checks(
     base normals. The oracle grid spans the domain minus the stencil margin.
     """
     lifted = lift_curve(alpha, spec, tol=tol, strict=True)
-    return _theorem_checks(alpha, lifted, grid_size, tol, oracle_step)
-
-
-def _theorem_checks(alpha, lifted, grid_size, tol, oracle_step=None) -> VerificationReport:
-    """run_theorem_checks on the strict lift of alpha it has built."""
-    spec = lifted.spec
-    # The strict lift passed the Lancret test; alpha's grid gives the axis and slant verdict.
     base = classify_curve(alpha, tol=tol)
+    return _theorem_checks(alpha, lifted, base, slant_test(lifted, tol=tol), grid_size, tol,
+                           oracle_step)
+
+
+def _theorem_checks(alpha, lifted, base, lift_slant_test, grid_size, tol,
+                    oracle_step=None) -> VerificationReport:
+    """run_theorem_checks on the strict lift of alpha, alpha's classification
+    (which gives the axis and the base slant verdict) and the lift's slant test."""
+    spec = lifted.spec
     h = float(oracle_step) if oracle_step is not None else _theorem_oracle_step(alpha.span)
     lo, hi = alpha.domain
     us = uniform_grid(lo + 2.0 * h, hi - 2.0 * h, grid_size, least=1)
@@ -188,7 +190,7 @@ def _theorem_checks(alpha, lifted, grid_size, tol, oracle_step=None) -> Verifica
     )
 
     base_slant = base.is_slant_helix
-    lift_slant, lift_stat = slant_test(lifted, tol=tol)
+    lift_slant, lift_stat = lift_slant_test
     theorem2 = TheoremResult(
         passed=base_slant == lift_slant,
         residual=max(base.sigma_stat.rel_dev, lift_stat.rel_dev),
@@ -243,6 +245,20 @@ def _entry(claim, printed, oracle, rule, samples, tol) -> ErrataEntry:
     )
 
 
+def _strict_lift_and_slant(base, spec, grid_size, tol):
+    """The strict lift of base, base's jet of orders 1..4 and frames on one
+    grid, and the lift's slant test, from one evaluation of base: the lift's
+    jet is derived from base's. spec.theta must be given and non degenerate."""
+    ts = uniform_grid(base.t_lo, base.t_hi, grid_size, least=3)
+    jet = base.jet(ts, (1, 2, 3, 4))
+    frames, exists = frames_from_derivatives(*jet[:3], tol)
+    lifted = _lift_on_grid(base, spec, lambda: (ts, frames, exists), tol, strict=True)
+    lifted_jet = lifted.lift_jet(ts, (1, 2, 3, 4), jet)
+    lifted_frames, lifted_exists = frames_from_derivatives(*lifted_jet[:3], tol)
+    require_frames(lifted_frames, lifted_exists, ts, tol)
+    return lifted, jet, frames, slant_of(lifted_jet, lifted_frames, tol)
+
+
 def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) -> VerificationReport:
     """Audit the printed worked example and check the lift theorems.
 
@@ -269,7 +285,9 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
     axis_unit = lifted_literal.axis / 2.0
 
     alpha_u = reparam_by_arclength(literal, tol=tol)
-    lifted_u = lift_curve(alpha_u, LiftSpec(theta=theta), tol=tol, strict=True)
+    lifted_u, jet_u, frames_u, lift_slant_u = _strict_lift_and_slant(
+        alpha_u, LiftSpec(theta=theta), 256, tol
+    )
     h_main = _theorem_oracle_step(alpha_u.span)
     oracle_bar = oracle_frame(lifted_u, alpha_u.length_map.forward(samples), h_main, tol)
 
@@ -327,7 +345,8 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
     ]
     entries = [_entry(*claim, samples, tol) for claim in claims]
 
-    main = _theorem_checks(alpha_u, lifted_u, grid_size=100, tol=tol)
+    main = _theorem_checks(alpha_u, lifted_u, classify_of(jet_u, frames_u, tol), lift_slant_u,
+                           grid_size=100, tol=tol)
 
     # Theorem 2 across the circular helix family plus the twisted cubic control.
     slant_runs = [main.theorem2.residual]
@@ -335,9 +354,10 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
     t2_pass = main.theorem2.passed
     for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
         base_u = reparam_by_arclength(fixtures.circular_helix(a, b), tol=tol)
-        lifted_h = lift_curve(base_u, LiftSpec(theta=math.atan2(a, b)), tol=tol, strict=True)
-        base_ok, base_stat = slant_test(base_u, grid_size=grid_size, tol=tol)
-        lift_ok, lift_stat = slant_test(lifted_h, grid_size=grid_size, tol=tol)
+        _, jet, frames, (lift_ok, lift_stat) = _strict_lift_and_slant(
+            base_u, LiftSpec(theta=math.atan2(a, b)), grid_size, tol
+        )
+        base_ok, base_stat = slant_of(jet, frames, tol)
         slant_runs.extend([base_stat.rel_dev, lift_stat.rel_dev])
         pair_flags.append(f"helix({a:g},{b:g}):{'agree' if base_ok and lift_ok else 'broken'}")
         t2_pass = t2_pass and base_ok and lift_ok

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from helixlift import (
+    DEFAULT_TOLERANCES,
     CallableCurve,
     LiftSpec,
     OutOfDomain,
@@ -18,6 +19,7 @@ from helixlift import (
     classify_curve,
     cli,
     frame_at,
+    frenet,
     helix,
     lift,
     lift_curve,
@@ -25,8 +27,9 @@ from helixlift import (
     reparam_by_arclength,
     run_paper_suite,
     transform_curve,
+    verify,
 )
-from helixlift.curvespec import parse_curve_spec
+from helixlift.curvespec import parse_curve_spec, serialize_curve_spec
 from helixlift.errors import InvalidField, UnsupportedOrder
 from helixlift.fixtures import circular_helix, paper_cubic
 from helixlift.frenet import ArcLengthMap
@@ -106,6 +109,28 @@ def test_jet_equals_stacked_eval_calls(kind, orders):
         curve.jet(np.append(ts, curve.t_hi + 1.0), orders)
     with pytest.raises(UnsupportedOrder):
         curve.jet(ts, orders + (5,))
+
+
+@pytest.mark.parametrize("base", [paper_cubic, lambda: reparam_by_arclength(paper_cubic())],
+                         ids=["leaf", "arclength_reparam"])
+def test_a_lifted_jet_from_its_base_jet_equals_the_lifted_jet(base):
+    alpha = base()
+    lifted = lift_curve(alpha, LiftSpec(theta=math.pi / 4, s0=0.3, offset=[1.0, -2.0, 0.5],
+                                        axis_mode="paper_printed"), strict=False)
+    ts = np.linspace(alpha.t_lo, alpha.t_hi, 11)
+    orders = (0, 1, 2, 3, 4)
+    for got, want in zip(lifted.lift_jet(ts, orders, alpha.jet(ts, orders)),
+                         lifted.jet(ts, orders)):
+        assert np.array_equal(got, want)
+
+
+def test_classify_of_a_frame_grid_equals_classify_curve():
+    curve = reparam_by_arclength(paper_cubic())
+    _, jet, frames = helix.frame_grid(curve, 64, DEFAULT_TOLERANCES, orders=(1, 2, 3, 4))
+    got = helix.classify_of(jet, frames, DEFAULT_TOLERANCES)
+    want = classify_curve(curve, grid_size=64)
+    for name in want.__dataclass_fields__:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_one_bad_entry_raises_out_of_domain():
@@ -232,11 +257,14 @@ def test_strict_lift_solves_the_arc_length_inverse_once(inverse_calls):
 
 
 def test_paper_suite_inverse_solves_stay_pinned(inverse_calls):
-    # Pinned at the measured count: one solve per frame grid, lift grid,
-    # oracle stencil and quadrature level on a reparameterized curve.
+    # Pinned at the measured count: one 256 point jet per reparameterized
+    # base (alpha_u and three circular helices) serves its lift, its
+    # classification and both slant tests; one solve each for the lifted
+    # oracle at the printed samples, the lifted oracle on the theorem grid
+    # and alpha's frames there.
     run_paper_suite()
-    assert len(inverse_calls) <= 15
-    assert sum(inverse_calls) <= 3_692
+    assert len(inverse_calls) <= 7
+    assert sum(inverse_calls) <= 1_644
 
 
 @pytest.mark.parametrize(
@@ -294,6 +322,16 @@ def test_an_auto_lift_measures_its_base_once(inverse_calls, capsys):
     assert inverse_calls == [256]
 
 
+def test_an_auto_lift_of_a_reparameterized_spec_solves_its_inverse_once(inverse_calls, tmp_path,
+                                                                       capsys):
+    # The speed gate and the lift read one jet of the already unit speed base.
+    spec = tmp_path / "base.json"
+    spec.write_text(serialize_curve_spec(reparam_by_arclength(circular_helix(2.0, 1.0))))
+    inverse_calls.clear()
+    assert cli.main(["lift", "--spec", str(spec), "--theta", "auto"]) == 0
+    assert inverse_calls == [256]
+
+
 def test_paper_suite_builds_each_frame_grid_once(monkeypatch):
     sizes = []
     kernel = helix.frames_from_derivatives
@@ -302,10 +340,12 @@ def test_paper_suite_builds_each_frame_grid_once(monkeypatch):
         sizes.append(len(d1))
         return kernel(d1, *rest)
 
-    for module in (helix, lift):
+    for module in (frenet, helix, lift, verify, cli):
         monkeypatch.setattr(module, "frames_from_derivatives", counting)
     run_paper_suite()
-    assert sizes.count(256) == 14
+    # The literal cubic's lift, one grid per reparameterized base and one
+    # per lift of it (alpha_u and three circular helices), the twisted cubic.
+    assert sizes.count(256) == 10
 
 
 def test_a_bad_spec_grid_is_rejected_before_its_base_is_built(inverse_calls):

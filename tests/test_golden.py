@@ -1,4 +1,4 @@
-"""CLI outputs against goldens recorded at commits f9ae52a and 1425b73.
+"""CLI outputs against goldens recorded at commits f9ae52a, 1425b73 and 991e48e.
 
 The files under data/golden are the outputs of these commands, run in an
 empty directory. The first three were recorded at f9ae52a, except
@@ -7,13 +7,15 @@ residual is sigma's round off over SIGMA_FLOOR, and it was recorded again
 when sigma became exact (order 4 jets in place of differences over arc
 length). The last two were recorded at 1425b73, before lift_curve measured
 an auto theta itself; the second one's base is already unit speed, so it is
-not reparameterized:
+not reparameterized. The last one, recorded at 991e48e, pins verify-paper on
+a grid other than the default:
 
     helixlift verify-paper --out verify_paper.json
     helixlift lift --spec circular_helix:2,1 --theta auto --emit lifted.json
     helixlift sample --spec lifted.json --n 50 --frames --csv sample.csv
     helixlift lift --spec paper_cubic --theta auto --axis paper --samples 128 --emit lifted_paper.json
     helixlift lift --spec circular_helix:0.6,0.8 --theta auto
+    helixlift verify-paper --samples 64 --out verify_paper_64.json
 
 with stdout and stderr saved as <name>.stdout and <name>.stderr (absent when
 empty). Refactors must keep the same frames, verdicts, lifts and errata
@@ -38,6 +40,8 @@ RUNS = [
     ("lift_paper", ["lift", "--spec", "paper_cubic", "--theta", "auto", "--axis", "paper",
                     "--samples", "128", "--emit", "lifted_paper.json"], 0, ["lifted_paper.json"]),
     ("lift_unit_speed", ["lift", "--spec", "circular_helix:0.6,0.8", "--theta", "auto"], 0, []),
+    ("verify_paper_64", ["verify-paper", "--samples", "64", "--out", "verify_paper_64.json"],
+     0, ["verify_paper_64.json"]),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
