@@ -6,19 +6,16 @@ dimensional Euclidean space and exposes derivatives up to order 4
 which takes one parameter or a 1-D array of them. Analytic kinds
 (polynomial components, circular helix) differentiate exactly. A polyline
 carries no smooth structure of its own, so it is interpolated once by a
-natural cubic spline and the spline is differentiated. Only
-``CallableCurve``, for curves defined only through positions, uses finite
-differences: second order central stencils, one parameter at a time,
-shifted to a one sided form near the domain ends; it stops at order 3.
-Every uniform parameter grid comes from ``uniform_grid``, and every grid
-size passes ``check_grid_size``.
+natural cubic spline and the spline is differentiated; curves known only
+through sampled positions go through ``Polyline``. No kind differentiates
+by finite differences. Every uniform parameter grid comes from
+``uniform_grid``, and every grid size passes ``check_grid_size``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -83,9 +80,9 @@ class ParamCurve:
     There are two hooks: leaf kinds implement ``_evaluate(ts, order)`` for
     all orders 0..MAX_DERIVATIVE_ORDER on a 1-D parameter array, returning
     shape (n, 3), and kinds built on a base curve implement
-    ``_jet(ts, orders)``, which returns one such array per order. Only
-    ``CallableCurve`` differentiates by finite differences. Instances are immutable after construction and
-    safe to evaluate concurrently; results do not depend on evaluation order.
+    ``_jet(ts, orders)``, which returns one such array per order. Instances
+    are immutable after construction and safe to evaluate concurrently;
+    results do not depend on evaluation order.
     """
 
     kind: str = "opaque"
@@ -120,10 +117,9 @@ class ParamCurve:
         """Derivative of the given order at ``t``, a parameter or a 1-D array.
 
         Returns shape (3,) for a scalar and (n, 3) for an array of n. Raises
-        UnsupportedOrder for orders outside 0..MAX_DERIVATIVE_ORDER (0..3 on
-        a ``CallableCurve``) and OutOfDomain, naming the first offending
-        entry, for parameters outside the closed interval (see ``outside``
-        for the round off slack).
+        UnsupportedOrder for orders outside 0..MAX_DERIVATIVE_ORDER and
+        OutOfDomain, naming the first offending entry, for parameters outside
+        the closed interval (see ``outside`` for the round off slack).
         """
         return self.jet(t, (order,))[0]
 
@@ -150,49 +146,6 @@ class ParamCurve:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} kind={self.kind!r} domain=[{self._t_lo}, {self._t_hi}]>"
-
-
-class CallableCurve(ParamCurve):
-    """Curve defined by an arbitrary position function.
-
-    Derivatives come from finite differences of positions, one parameter at
-    a time, so this is the right wrapper for black box trajectories.
-    fd_step defaults to DEFAULT_TOLERANCES.fd_step times the domain span.
-    Orders stop at 3: at that step the third difference is already mostly
-    round off and a fourth would be nothing else, so order 4, and the slant
-    test that needs it, raise UnsupportedOrder.
-    """
-
-    kind = "callable"
-
-    def __init__(self, fn: Callable[[float], Sequence[float]], domain, fd_step=None):
-        super().__init__(domain[0], domain[1])
-        if fd_step is None:
-            fd_step = DEFAULT_TOLERANCES.fd_step * self.span
-        fd_step = float(fd_step)
-        if not (math.isfinite(fd_step) and fd_step > 0):
-            raise InvalidField(f"fd_step must be strictly positive, got {fd_step}")
-        self._fn = fn
-        self._fd_step = fd_step
-
-    def _jet(self, ts: np.ndarray, orders: tuple) -> list:
-        if max(orders) > 3:
-            raise UnsupportedOrder(max(orders), 3)
-        return super()._jet(ts, orders)
-
-    def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
-        return np.array(
-            [
-                finite_difference_derivative(self._position, t, order, self._fd_step, self.domain)
-                for t in ts
-            ]
-        ).reshape(-1, 3)
-
-    def _position(self, t: float) -> np.ndarray:
-        arr = np.asarray(self._fn(t), dtype=float)
-        if arr.shape != (3,):
-            raise InvalidField(f"position function must return three components, got shape {arr.shape}")
-        return arr
 
 
 class PolynomialCurve(ParamCurve):
@@ -343,73 +296,6 @@ class TransformedCurve(ParamCurve):
     def _jet(self, ts: np.ndarray, orders: tuple) -> list:
         outs = [self._scale * (d @ self._rotation.T) for d in self._base.jet(ts, orders)]
         return [out + self._translation if k == 0 else out for k, out in zip(orders, outs)]
-
-
-def transform_curve(base, rotation=None, translation=None, scale=1.0) -> TransformedCurve:
-    """Convenience wrapper around TransformedCurve."""
-    return TransformedCurve(base, rotation=rotation, translation=translation, scale=scale)
-
-
-# One sided stencils need this many steps of room beyond the base point.
-_ONESIDED_REACH = {1: 2, 2: 3, 3: 4}
-
-
-def finite_difference_derivative(f, t, order, h, domain=None):
-    """Second order accurate derivative of a vector function from positions.
-
-    Central stencils are used where they fit. Within reach of a domain end
-    the matching one sided second order stencil is used instead, so every
-    point of a closed interval stays differentiable. Orders 1 and 2 use
-    three point stencils, order 3 a five point stencil.
-    """
-    if order == 0:
-        return np.asarray(f(t), dtype=float)
-    if order not in (1, 2, 3):
-        raise UnsupportedOrder(order, 3)
-    h = float(h)
-    if not (math.isfinite(h) and h > 0):
-        raise InvalidField(f"step must be strictly positive, got {h}")
-    t = float(t)
-
-    if domain is None:
-        return _central_fd(f, t, order, h)
-
-    lo, hi = float(domain[0]), float(domain[1])
-    # Guarantee any branch fits in the interval, even for tiny domains.
-    h = min(h, (hi - lo) / _ONESIDED_REACH[3])
-    central_reach = h if order < 3 else 2.0 * h
-    if t - central_reach >= lo and t + central_reach <= hi:
-        return _central_fd(f, t, order, h)
-    if t - lo <= hi - t:
-        return _onesided_fd(f, t, order, h)
-    return _onesided_fd(f, t, order, -h)
-
-
-def _central_fd(f, t, order, h):
-    if order == 1:
-        return (np.asarray(f(t + h), float) - np.asarray(f(t - h), float)) / (2.0 * h)
-    if order == 2:
-        return (
-            np.asarray(f(t + h), float)
-            - 2.0 * np.asarray(f(t), float)
-            + np.asarray(f(t - h), float)
-        ) / (h * h)
-    return (
-        np.asarray(f(t + 2 * h), float)
-        - 2.0 * np.asarray(f(t + h), float)
-        + 2.0 * np.asarray(f(t - h), float)
-        - np.asarray(f(t - 2 * h), float)
-    ) / (2.0 * h ** 3)
-
-
-def _onesided_fd(f, t, order, h):
-    # h < 0 mirrors the stencil; the formulas below stay second order.
-    s = [np.asarray(f(t + k * h), float) for k in range(_ONESIDED_REACH[order] + 1)]
-    if order == 1:
-        return (-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h)
-    if order == 2:
-        return (2.0 * s[0] - 5.0 * s[1] + 4.0 * s[2] - s[3]) / (h * h)
-    return (-5.0 * s[0] + 18.0 * s[1] - 24.0 * s[2] + 14.0 * s[3] - 3.0 * s[4]) / (2.0 * h ** 3)
 
 
 @dataclass(frozen=True)

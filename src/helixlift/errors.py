@@ -30,8 +30,7 @@ class OutOfDomain(InputError):
 
 
 class UnsupportedOrder(InputError):
-    """Derivative order outside 0..highest: 4 for exact kinds, 3 for curves
-    differentiated by finite differences."""
+    """Derivative order outside 0..highest."""
 
     def __init__(self, order, highest):
         super().__init__(f"derivative order {order!r} not supported (expected 0 to {highest})")

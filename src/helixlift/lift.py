@@ -242,8 +242,3 @@ def closed_form_lift_frame(
         bbar_T_coeff=bbar_T,
         bbar_B_coeff=bbar_B,
     )
-
-
-def c_factor(kappa: float, tau: float, theta: float) -> float:
-    """The printed scalar relating the lifted normal to the base normal."""
-    return closed_form_lift_frame(kappa, tau, theta).c

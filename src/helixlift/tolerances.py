@@ -10,21 +10,18 @@ from .errors import InvalidField
 class Tolerances:
     """Knobs that decide when numbers count as zero, unit, or constant.
 
-    fd_step is relative to the parameter span of the curve it is applied to;
-    the default reproduces step = 1e-5 * (t_hi - t_lo). vector_tol gates unit
-    length, orthogonality, and frame agreement checks. constancy_tol is the
-    relative deviation a sampled quantity may show and still count as
-    constant. speed_tol is the degeneracy threshold for both the speed and
-    the velocity cross acceleration norm.
+    vector_tol gates unit length, orthogonality, and frame agreement checks.
+    constancy_tol is the relative deviation a sampled quantity may show and
+    still count as constant. speed_tol is the degeneracy threshold for both
+    the speed and the velocity cross acceleration norm.
     """
 
-    fd_step: float = 1e-5
     vector_tol: float = 1e-6
     constancy_tol: float = 1e-4
     speed_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("fd_step", "vector_tol", "constancy_tol", "speed_tol"):
+        for name in ("vector_tol", "constancy_tol", "speed_tol"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise InvalidField(f"{name} must be a real number, got {value!r}")

@@ -25,8 +25,8 @@ from .frenet import (
     reparam_by_arclength,
     require_frames,
 )
-from .helix import classify_curve, classify_of, constancy_stat, slant_of, slant_test
-from .lift import LiftSpec, _lift_on_grid, closed_form_lift_frame, lift_curve
+from .helix import classify_of, constancy_stat, lancret_of, require_helix, slant_of, slant_test
+from .lift import LiftSpec, _lift_on_grid, closed_form_lift_frame, lift_curve, require_unit_speed
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 _FLOOR = 1e-12
@@ -157,16 +157,17 @@ def run_theorem_checks(
 ) -> VerificationReport:
     """Oracle-level checks of the three lift theorems for one base curve.
 
-    alpha must be a unit speed general helix. theorem1 checks constancy of
+    alpha must be a unit speed general helix, at any theta: one jet of alpha
+    on a 256 point grid serves the strict lift's gates, alpha's
+    classification and the lift's slant test. theorem1 checks constancy of
     the inner product between the unit helix axis and the oracle tangent of
     the lift; theorem2 checks that the slant test agrees between base and
     lift; theorem3 checks that oracle lifted normals stay parallel to the
     base normals. The oracle grid spans the domain minus the stencil margin.
     """
-    lifted = lift_curve(alpha, spec, tol=tol, strict=True)
-    base = classify_curve(alpha, tol=tol)
-    return _theorem_checks(alpha, lifted, base, slant_test(lifted, tol=tol), grid_size, tol,
-                           oracle_step)
+    lifted, jet, frames, lift_slant = _strict_lift_and_slant(alpha, spec, 256, tol)
+    return _theorem_checks(alpha, lifted, classify_of(jet, frames, tol), lift_slant, grid_size,
+                           tol, oracle_step)
 
 
 def _theorem_checks(alpha, lifted, base, lift_slant_test, grid_size, tol,
@@ -248,11 +249,17 @@ def _entry(claim, printed, oracle, rule, samples, tol) -> ErrataEntry:
 def _strict_lift_and_slant(base, spec, grid_size, tol):
     """The strict lift of base, base's jet of orders 1..4 and frames on one
     grid, and the lift's slant test, from one evaluation of base: the lift's
-    jet is derived from base's. spec.theta must be given and non degenerate."""
+    jet is derived from base's. Unlike lift_curve, a degenerate theta does not
+    skip the gates on base: unit speed, frames, then the Lancret test."""
     ts = uniform_grid(base.t_lo, base.t_hi, grid_size, least=3)
     jet = base.jet(ts, (1, 2, 3, 4))
     frames, exists = frames_from_derivatives(*jet[:3], tol)
     lifted = _lift_on_grid(base, spec, lambda: (ts, frames, exists), tol, strict=True)
+    if lifted.spec.is_degenerate:
+        require_unit_speed(frames.speed, tol)
+        require_frames(frames, exists, ts, tol)
+        is_helix, _, ratio_stat = lancret_of(frames, tol)
+        require_helix(is_helix, ratio_stat)
     lifted_jet = lifted.lift_jet(ts, (1, 2, 3, 4), jet)
     lifted_frames, lifted_exists = frames_from_derivatives(*lifted_jet[:3], tol)
     require_frames(lifted_frames, lifted_exists, ts, tol)

@@ -7,14 +7,17 @@ change, not a test fix.
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from helixlift import (
     LiftSpec,
+    PolynomialCurve,
+    TransformedCurve,
     bertrand_test,
     cli,
-    finite_difference_derivative,
+    compare_frames,
     frame_at,
     lancret_test,
     lift_curve,
@@ -22,7 +25,6 @@ from helixlift import (
     reparam_by_arclength,
     run_theorem_checks,
     slant_test,
-    transform_curve,
 )
 from helixlift.fixtures import (
     circular_helix,
@@ -243,20 +245,13 @@ def test_criterion_8_property_suites():
     speed_ok = speed_worst <= 1e-6
     notes.append(f"unit speed {speed_worst:.3e}")
 
-    # halving the stencil step shrinks the error at second order
-    f = lambda t: np.array([math.sin(t), math.exp(0.5 * t), t**5])
-    exact = {
-        1: np.array([math.cos(1.0), 0.5 * math.exp(0.5), 5.0]),
-        2: np.array([-math.sin(1.0), 0.25 * math.exp(0.5), 20.0]),
-        3: np.array([-math.cos(1.0), 0.125 * math.exp(0.5), 60.0]),
-    }
-    conv_ok = True
-    factors = []
-    for order in (1, 2, 3):
-        e1 = np.max(np.abs(finite_difference_derivative(f, 1.0, order, 2e-2) - exact[order]))
-        e2 = np.max(np.abs(finite_difference_derivative(f, 1.0, order, 1e-2) - exact[order]))
-        factors.append(e1 / e2)
-        conv_ok = conv_ok and (e1 / e2 >= 3.5)
+    # halving the oracle's stencil step shrinks each frame error at second
+    # order; (t, t^2, t^5) leaves a truncation error in all three stencils
+    quintic = PolynomialCurve([[0, 1], [0, 0, 1], [0, 0, 0, 0, 0, 1]], (0.25, 2.0))
+    exact = frame_at(quintic, 1.0)
+    e1, e2 = (asdict(compare_frames(exact, oracle_frame(quintic, 1.0, h))) for h in (2e-2, 1e-2))
+    factors = [e1[name] / e2[name] for name in e1]
+    conv_ok = min(factors) >= 3.5
     notes.append("halving factors " + ",".join(f"{x:.2f}" for x in factors))
 
     # rigid motions and scalings act on kappa, tau, length as they must
@@ -270,10 +265,10 @@ def test_criterion_8_property_suites():
     )
     inv_worst = 0.0
     for base in (paper_cubic(), twisted_cubic()):
-        moved = transform_curve(
+        moved = TransformedCurve(
             base, rotation=rot, translation=np.array([0.3, -1.2, 2.0])
         )
-        scaled = transform_curve(base, scale=2.5)
+        scaled = TransformedCurve(base, scale=2.5)
         for t in np.linspace(base.t_lo + 0.05, base.t_hi - 0.05, 7):
             fr0 = frame_at(base, t)
             fr1 = frame_at(moved, t)

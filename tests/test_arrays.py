@@ -10,11 +10,11 @@ from scipy.integrate import quad
 
 from helixlift import (
     DEFAULT_TOLERANCES,
-    CallableCurve,
     LiftSpec,
     OutOfDomain,
     PolynomialCurve,
     Polyline,
+    TransformedCurve,
     arc_length,
     classify_curve,
     cli,
@@ -26,7 +26,7 @@ from helixlift import (
     oracle_frame,
     reparam_by_arclength,
     run_paper_suite,
-    transform_curve,
+    run_theorem_checks,
     verify,
 )
 from helixlift.curvespec import parse_curve_spec, serialize_curve_spec
@@ -51,16 +51,13 @@ CURVES = {
     "polynomial": paper_cubic,
     "circular_helix": lambda: circular_helix(2.0, 0.5),
     "polyline": _polyline,
-    "transformed": lambda: transform_curve(
+    "transformed": lambda: TransformedCurve(
         paper_cubic(), rotation=_rotation(0.7), translation=[1.0, -2.0, 0.5], scale=2.0
     ),
     "lifted": lambda: lift_curve(
         paper_cubic(), LiftSpec(theta=math.pi / 4, axis_mode="paper_printed"), strict=False
     ),
     "arclength_reparam": lambda: reparam_by_arclength(circular_helix(1.0, 1.0)),
-    "callable": lambda: CallableCurve(
-        lambda t: np.array([math.sin(t), math.cos(2 * t), t]), domain=(0.0, 2.0)
-    ),
 }
 
 # Jets matter most where a base is mapped: the lift over a reparameterized base.
@@ -95,11 +92,6 @@ def test_jet_equals_stacked_eval_calls(kind, orders):
     curve = JET_CURVES[kind]()
     assert curve.kind == kind
     ts = np.linspace(curve.t_lo, curve.t_hi, 11)
-    if kind == "callable" and 4 in orders:
-        # Finite differences stop at order 3.
-        with pytest.raises(UnsupportedOrder):
-            curve.jet(ts, orders)
-        return
     for t in (ts, float(ts[4])):
         got = curve.jet(t, orders)
         assert len(got) == len(orders)
@@ -332,7 +324,8 @@ def test_an_auto_lift_of_a_reparameterized_spec_solves_its_inverse_once(inverse_
     assert inverse_calls == [256]
 
 
-def test_paper_suite_builds_each_frame_grid_once(monkeypatch):
+@pytest.fixture
+def frame_grids(monkeypatch):
     sizes = []
     kernel = helix.frames_from_derivatives
 
@@ -342,10 +335,26 @@ def test_paper_suite_builds_each_frame_grid_once(monkeypatch):
 
     for module in (frenet, helix, lift, verify, cli):
         monkeypatch.setattr(module, "frames_from_derivatives", counting)
+    return sizes
+
+
+def test_paper_suite_builds_each_frame_grid_once(frame_grids):
     run_paper_suite()
     # The literal cubic's lift, one grid per reparameterized base and one
     # per lift of it (alpha_u and three circular helices), the twisted cubic.
-    assert sizes.count(256) == 10
+    assert frame_grids.count(256) == 10
+
+
+def test_theorem_checks_evaluate_their_base_once(inverse_calls, frame_grids):
+    # One 256 point jet of the base serves the strict lift gate, the base's
+    # classification and, through the lift's jet, the lift's slant test. The
+    # 100 point theorem grid adds the lifted oracle's five stencil rows and
+    # the base's frames there.
+    alpha = reparam_by_arclength(paper_cubic())
+    inverse_calls.clear()
+    run_theorem_checks(alpha, LiftSpec(theta=math.pi / 4))
+    assert inverse_calls == [256, 500, 100]
+    assert frame_grids == [256, 256, 100, 100]  # base, lift, oracle, base
 
 
 def test_a_bad_spec_grid_is_rejected_before_its_base_is_built(inverse_calls):

@@ -8,7 +8,8 @@ when sigma became exact (order 4 jets in place of differences over arc
 length). The last two were recorded at 1425b73, before lift_curve measured
 an auto theta itself; the second one's base is already unit speed, so it is
 not reparameterized. The last one, recorded at 991e48e, pins verify-paper on
-a grid other than the default:
+a grid other than the default. Both verify-paper reports were recorded again
+without their "fd_step" line when Tolerances lost that field:
 
     helixlift verify-paper --out verify_paper.json
     helixlift lift --spec circular_helix:2,1 --theta auto --emit lifted.json

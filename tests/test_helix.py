@@ -10,6 +10,7 @@ from helixlift import (
     DegenerateFrame,
     LiftSpec,
     NotAHelix,
+    TransformedCurve,
     bertrand_test,
     classify_curve,
     constancy_stat,
@@ -18,7 +19,6 @@ from helixlift import (
     lift_curve,
     reparam_by_arclength,
     slant_test,
-    transform_curve,
 )
 from helixlift.errors import DomainMismatch
 from helixlift.fixtures import (
@@ -90,7 +90,7 @@ def test_axis_follows_rigid_motion():
         ]
     )
     axis0, _ = helix_axis(paper_cubic())
-    axis1, _ = helix_axis(transform_curve(paper_cubic(), rotation=rot))
+    axis1, _ = helix_axis(TransformedCurve(paper_cubic(), rotation=rot))
     npt.assert_allclose(axis1, rot @ axis0, atol=1e-9)
 
 
@@ -137,7 +137,7 @@ def test_bertrand_rejects_a_rotated_copy():
             [0.0, math.sin(0.4), math.cos(0.4)],
         ]
     )
-    ok, _ = bertrand_test(h, transform_curve(h, rotation=rot))
+    ok, _ = bertrand_test(h, TransformedCurve(h, rotation=rot))
     assert not ok
 
 

@@ -12,7 +12,6 @@ from helixlift import (
     NotAHelix,
     NotUnitSpeed,
     ThetaMismatch,
-    c_factor,
     closed_form_lift_frame,
     frame_at,
     lancret_test,
@@ -205,7 +204,8 @@ def test_closed_form_lambda_value():
 
 def test_closed_form_c_value():
     # frozen reference value at kappa = tau = 1/6, theta = pi/4
-    assert abs(c_factor(1.0 / 6.0, 1.0 / 6.0, THETA) - (-0.22559175289915123)) < 1e-12
+    c = closed_form_lift_frame(1.0 / 6.0, 1.0 / 6.0, THETA).c
+    assert abs(c - (-0.22559175289915123)) < 1e-12
 
 
 def test_tangent_coefficients_are_normalized():

@@ -13,20 +13,18 @@ import numpy.testing as npt
 import pytest
 
 from helixlift import (
-    CallableCurve,
     CircularHelix,
     LiftSpec,
     Polyline,
     PolynomialCurve,
+    TransformedCurve,
     classify_curve,
-    lancret_test,
+    frame_at,
     lift_curve,
     reparam_by_arclength,
     slant_test,
-    transform_curve,
 )
 from helixlift.curves import ParamCurve
-from helixlift.errors import UnsupportedOrder
 from helixlift.fixtures import paper_cubic
 
 HALF_TURN = math.pi / 2.0
@@ -93,7 +91,8 @@ def test_salkowski_is_slant_and_not_general(grid_size):
     "make",
     [
         lambda: reparam_by_arclength(Salkowski()),
-        lambda: transform_curve(Salkowski(), rotation=_rotation(), translation=[1, 2, 3], scale=3.0),
+        lambda: TransformedCurve(Salkowski(), rotation=_rotation(), translation=[1, 2, 3],
+                                 scale=3.0),
     ],
     ids=["arclength_reparam", "rotated_scaled"],
 )
@@ -137,15 +136,23 @@ def test_leaf_kinds_give_exact_fourth_derivatives():
     npt.assert_array_equal(line.eval(knots[:-1] + 0.2, 4), np.zeros((6, 3)))
 
 
-def test_callable_curves_stop_at_order_three():
-    helix = lambda t: np.array([2 * math.cos(t), 2 * math.sin(t), t])
-    curve = CallableCurve(helix, (0.0, 6.0), fd_step=1e-3)
-    with pytest.raises(UnsupportedOrder) as exc:
-        curve.eval(1.0, 4)
-    assert exc.value.order == 4
-    with pytest.raises(UnsupportedOrder):
-        classify_curve(curve)
-    # Everything that needs only orders 1..3 still works, lifts included.
-    assert lancret_test(curve)[0]
-    lifted = lift_curve(curve, LiftSpec(theta=math.atan2(2.0, 1.0)), strict=False)
-    npt.assert_allclose(lifted.axis, [0.0, 0.0, 1.0], atol=1e-5)
+def test_salkowski_normal_keeps_a_constant_angle_with_e3():
+    # e3 is the slant axis: N . e3 = -1/sqrt(5) at every sample.
+    curve = Salkowski()
+    normal_z = frame_at(curve, np.linspace(curve.t_lo, curve.t_hi, 256)).N[:, 2]
+    npt.assert_allclose(normal_z, -1.0 / math.sqrt(5.0), rtol=0, atol=1e-14)
+    assert np.std(normal_z) < 1e-15
+
+
+@pytest.mark.parametrize("theta, mean, rel_dev",
+                         [(math.pi / 4, -0.8172, 8.80), (1.2, -0.6016, 0.181)])
+def test_a_lift_of_the_salkowski_curve_along_its_slant_axis_is_not_slant(theta, mean, rel_dev):
+    # Measured behaviour of the construction, not a claim of the paper. The
+    # strict lift needs a general helix base, whose sigma is identically 0;
+    # this slant base is not one, so the lift is non strict along e3.
+    alpha = reparam_by_arclength(Salkowski())
+    spec = LiftSpec(theta=theta, axis_mode="explicit", axis=[0.0, 0.0, 1.0])
+    ok, stat = slant_test(lift_curve(alpha, spec, strict=False))
+    assert not ok
+    assert stat.mean == pytest.approx(mean, abs=5e-5)
+    assert stat.rel_dev == pytest.approx(rel_dev, rel=5e-3)

@@ -2,14 +2,19 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from helixlift import (
+    DegenerateFrame,
     FrenetFrame,
     LiftSpec,
+    NotAHelix,
+    NotUnitSpeed,
+    PolynomialCurve,
     StencilOutOfDomain,
     compare_frames,
     frame_at,
@@ -18,7 +23,7 @@ from helixlift import (
     run_paper_suite,
     run_theorem_checks,
 )
-from helixlift.fixtures import circular_helix, paper_cubic
+from helixlift.fixtures import circular_helix, paper_cubic, twisted_cubic
 
 EXPECTED_CLAIM_IDS = [
     "example.T",
@@ -117,6 +122,23 @@ def test_theorem_checks_on_a_circular_helix():
     report = run_theorem_checks(alpha, LiftSpec(theta=theta), grid_size=40)
     assert report.theorem1.passed
     assert report.theorem3.passed
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (paper_cubic, NotUnitSpeed, "speed deviates from 1 by 3.200e+01"),
+        (lambda: reparam_by_arclength(PolynomialCurve([[0, 1], [0, 2], [0, 3]], (0.0, 1.0))),
+         DegenerateFrame, "velocity and acceleration are parallel"),
+        (lambda: reparam_by_arclength(twisted_cubic()), NotAHelix,
+         "kappa/tau relative deviation 2.918e-01"),
+    ],
+    ids=["not_unit_speed", "line", "not_a_helix"],
+)
+def test_theorem_checks_gate_the_base_at_a_degenerate_theta(make, error, message):
+    # lift_curve measures no base at a given theta of pi/2; the theorems need it measured.
+    with pytest.raises(error, match=re.escape(message)):
+        run_theorem_checks(make(), LiftSpec(theta=math.pi / 2))
 
 
 def test_suite_covers_every_claim():
