@@ -24,7 +24,7 @@ from .errors import DegenerateGeometryError, InputError, InvalidField, NotUnitSp
 from .frenet import frame_at, frames_from_derivatives, reparam_by_arclength
 from .helix import classify_curve
 from .lift import LiftSpec, _lift_on_grid, lift_curve, require_unit_speed
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verify import run_paper_suite
 
 
@@ -52,7 +52,7 @@ def _tolerances(args):
         return DEFAULT_TOLERANCES
     if not (args.tol > 0):
         raise InvalidField(f"--tol must be positive, got {args.tol}")
-    return dataclasses.replace(DEFAULT_TOLERANCES, constancy_tol=float(args.tol))
+    return Tolerances(float(args.tol))
 
 
 def _emit_json(doc: dict, out_path: str | None) -> None:
@@ -64,21 +64,6 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _vec_list(vec) -> list | None:
-    if vec is None:
-        return None
-    return [float(v) for v in np.asarray(vec, float)]
-
-
-def _stat_dict(stat) -> dict:
-    return {
-        "mean": float(stat.mean),
-        "max_abs_dev": float(stat.max_abs_dev),
-        "rel_dev": float(stat.rel_dev),
-        "grid_size": int(stat.grid_size),
-    }
 
 
 def _parse_vec3(text: str, name: str):
@@ -101,12 +86,12 @@ def _cmd_classify(args) -> int:
         "circular_helix": bool(cls.is_circular_helix),
         "slant_helix": bool(cls.is_slant_helix),
         "theta": None if cls.theta is None else float(cls.theta),
-        "axis": _vec_list(cls.axis),
+        "axis": None if cls.axis is None else cls.axis.tolist(),
         "stats": {
-            "ratio": _stat_dict(cls.ratio_stat),
-            "sigma": _stat_dict(cls.sigma_stat),
-            "kappa": _stat_dict(cls.kappa_stat),
-            "tau": _stat_dict(cls.tau_stat),
+            "ratio": dataclasses.asdict(cls.ratio_stat),
+            "sigma": dataclasses.asdict(cls.sigma_stat),
+            "kappa": dataclasses.asdict(cls.kappa_stat),
+            "tau": dataclasses.asdict(cls.tau_stat),
         },
         "samples": int(args.samples),
     }
@@ -116,12 +101,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_frenet(args) -> int:
     curve = _load_curve(args.spec)
-    frame = frame_at(curve, args.at, tol=_tolerances(args))
+    _tolerances(args)  # every command rejects a bad --tol, though a frame takes none
+    frame = frame_at(curve, args.at)
     doc = {
         "t": float(args.at),
-        "T": _vec_list(frame.T),
-        "N": _vec_list(frame.N),
-        "B": _vec_list(frame.B),
+        "T": frame.T.tolist(),
+        "N": frame.N.tolist(),
+        "B": frame.B.tolist(),
         "kappa": float(frame.kappa),
         "tau": float(frame.tau),
         "speed": float(frame.speed),
@@ -154,13 +140,13 @@ def _cmd_lift(args) -> int:
     jet = base.jet(ts, (1, 2, 3))
     reparameterized = False
     try:
-        require_unit_speed(np.linalg.norm(jet[0], axis=-1), tol)
+        require_unit_speed(np.linalg.norm(jet[0], axis=-1))
     except NotUnitSpeed:
-        base = reparam_by_arclength(base, tol=tol)
+        base = reparam_by_arclength(base)
         reparameterized = True
         lifted = lift_curve(base, spec, grid_size=args.samples, tol=tol, strict=strict)
     else:
-        grid = (ts, *frames_from_derivatives(*jet, tol))
+        grid = (ts, *frames_from_derivatives(*jet))
         lifted = _lift_on_grid(base, spec, lambda: grid, tol, strict)
 
     if args.emit:
@@ -168,9 +154,9 @@ def _cmd_lift(args) -> int:
     doc = {
         "theta": float(lifted.spec.theta),
         "axis_mode": spec.axis_mode,
-        "axis": _vec_list(lifted.axis),
+        "axis": lifted.axis.tolist(),
         "s0": float(spec.s0),
-        "offset": _vec_list(spec.offset),
+        "offset": spec.offset.tolist(),
         "domain": [float(lifted.t_lo), float(lifted.t_hi)],
         "base_reparameterized": reparameterized,
         "emitted": args.emit or None,
@@ -181,33 +167,24 @@ def _cmd_lift(args) -> int:
     return 0
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def _cmd_sample(args) -> int:
     n = check_grid_size(args.n, name="--n")
     curve = _load_curve(args.spec)
-    tol = _tolerances(args)
+    _tolerances(args)  # every command rejects a bad --tol, though sampling takes none
     ts = uniform_grid(curve.t_lo, curve.t_hi, n, name="--n")
     derivs = curve.jet(ts, (0, 1, 2, 3) if args.frames else (0,))
-    columns = np.column_stack([ts, derivs[0]])
-
-    header = ["t", "x", "y", "z"]
+    table = np.column_stack([ts, derivs[0]])
+    row = ",".join(["%.17g"] * 4)
     if args.frames:
-        header += ["Tx", "Ty", "Tz", "Nx", "Ny", "Nz", "Bx", "By", "Bz",
-                   "kappa", "tau", "degenerate"]
-        fr, exists = frames_from_derivatives(*derivs[1:], tol)
-        frame_columns = np.column_stack([fr.T, fr.N, fr.B, fr.kappa, fr.tau])
-    lines = [",".join(header)]
-    for i, values in enumerate(columns):
-        row = [_fmt(v) for v in values]
-        if args.frames:
-            if exists[i]:
-                row += [_fmt(v) for v in frame_columns[i]] + ["0"]
-            else:
-                row += [""] * 11 + ["1"]
-        lines.append(",".join(row))
+        fr, exists = frames_from_derivatives(*derivs[1:])
+        table = np.column_stack([table, fr.T, fr.N, fr.B, fr.kappa, fr.tau])
+        framed = row + ",%.17g" * 11 + ",0"
+        bare = row + "," * 11 + ",1"
+        lines = ["t,x,y,z,Tx,Ty,Tz,Nx,Ny,Nz,Bx,By,Bz,kappa,tau,degenerate"]
+        lines += [framed % tuple(v) if ok else bare % tuple(v[:4])
+                  for v, ok in zip(table.tolist(), exists)]
+    else:
+        lines = ["t,x,y,z"] + [row % tuple(v) for v in table.tolist()]
     text = "\n".join(lines) + "\n"
     if args.csv:
         Path(args.csv).write_text(text)

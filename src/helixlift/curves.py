@@ -15,13 +15,11 @@ by finite differences. Every uniform parameter grid comes from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import InvalidField, OutOfDomain, UnsupportedOrder
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 MAX_DERIVATIVE_ORDER = 4
 
@@ -94,6 +92,8 @@ class ParamCurve:
             raise InvalidField(f"domain endpoints must be finite, got [{t_lo}, {t_hi}]")
         if not t_lo < t_hi:
             raise InvalidField(f"domain [{t_lo}, {t_hi}] is empty")
+        if not math.isfinite(t_hi - t_lo):
+            raise InvalidField(f"domain [{t_lo}, {t_hi}] is wider than the float range")
         self._t_lo = t_lo
         self._t_hi = t_hi
 
@@ -296,33 +296,3 @@ class TransformedCurve(ParamCurve):
     def _jet(self, ts: np.ndarray, orders: tuple) -> list:
         outs = [self._scale * (d @ self._rotation.T) for d in self._base.jet(ts, orders)]
         return [out + self._translation if k == 0 else out for k, out in zip(orders, outs)]
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Grid minima that gate frame construction.
-
-    is_regular means the speed never fell to the degeneracy threshold on the
-    grid; is_twisted means the velocity cross acceleration norm stayed above
-    it, so the Frenet frame exists at every sample.
-    """
-
-    min_speed: float
-    min_cross_norm: float
-    is_regular: bool
-    is_twisted: bool
-    grid_size: int
-
-
-def regularity_check(curve, grid_size=256, tol: Tolerances = DEFAULT_TOLERANCES) -> RegularityReport:
-    """Scan a uniform grid for minimum speed and minimum |a' x a''|."""
-    d1, d2 = curve.jet(uniform_grid(curve.t_lo, curve.t_hi, grid_size), (1, 2))
-    min_speed = float(np.min(np.linalg.norm(d1, axis=1)))
-    min_cross = float(np.min(np.linalg.norm(np.cross(d1, d2), axis=1)))
-    return RegularityReport(
-        min_speed=min_speed,
-        min_cross_norm=min_cross,
-        is_regular=min_speed > tol.speed_tol,
-        is_twisted=min_cross > tol.speed_tol,
-        grid_size=len(d1),
-    )

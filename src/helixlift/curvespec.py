@@ -73,13 +73,24 @@ def _domain(doc, required=True):
     return (float(lo), float(hi))
 
 
+def _array(doc, name):
+    """Field ``name`` (None when absent), a list of numbers or of lists of
+    them; raises InvalidField for a boolean among them, which numpy would
+    read as 1 or 0."""
+    value = doc.get(name)
+    for row in value if isinstance(value, list) else ():
+        if isinstance(row, bool) or (isinstance(row, list) and any(isinstance(v, bool) for v in row)):
+            raise InvalidField(f"field {name!r} holds a boolean where a number belongs")
+    return value
+
+
 def _vector(doc, name, default=None):
     if name not in doc:
         return default
     value = doc[name]
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise InvalidField(f"field {name!r} must be a 3-vector, got {value!r}")
-    return [float(v) for v in value]
+    return [float(v) for v in _array(doc, name)]
 
 
 def _base(doc, depth):
@@ -100,7 +111,7 @@ def _check_domain(doc, curve, what):
 
 def _build_polynomial(doc, depth):
     domain = _domain(doc)
-    coeffs = doc.get("coeffs")
+    coeffs = _array(doc, "coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != 3:
         raise InvalidField("'coeffs' must be a list of three coefficient lists")
     for comp in coeffs:
@@ -115,8 +126,8 @@ def _build_circular_helix(doc, depth):
 
 
 def _build_polyline(doc, depth):
-    points = doc.get("points")
-    knots = doc.get("knots")
+    points = _array(doc, "points")
+    knots = _array(doc, "knots")
     if points is None or knots is None:
         raise InvalidField("polyline needs 'points' and 'knots'")
     return _check_domain(doc, Polyline(points, knots), "knot range")

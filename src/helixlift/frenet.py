@@ -28,7 +28,7 @@ import numpy as np
 
 from .curves import ParamCurve, uniform_grid
 from .errors import DegenerateFrame, InputError, ZeroSpeed
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import SPEED_TOL
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,12 @@ class FrenetFrame:
     speed: float
 
 
-def frames_from_derivatives(d1, d2, d3, tol: Tolerances = DEFAULT_TOLERANCES):
+def frames_from_derivatives(d1, d2, d3):
     """The frame kernel: Frenet frames from the first three derivatives.
 
     d1, d2, d3 are (3,) vectors or (n, 3) arrays. Returns the frame, its
     fields shaped like the input rows, and a mask of the rows where the
-    frame exists: speed and |a' x a''| above speed_tol, and speed,
+    frame exists: speed and |a' x a''| above SPEED_TOL, and speed,
     |a' x a''|, kappa and tau all finite. Other rows hold meaningless values.
     """
     with np.errstate(all="ignore"):
@@ -64,12 +64,12 @@ def frames_from_derivatives(d1, d2, d3, tol: Tolerances = DEFAULT_TOLERANCES):
         T = d1 / speed[..., None]
         B = cross / cross_norm[..., None]
         N = np.cross(B, T)
-    exists = (speed > tol.speed_tol) & (cross_norm > tol.speed_tol)
+    exists = (speed > SPEED_TOL) & (cross_norm > SPEED_TOL)
     exists &= np.all(np.isfinite([speed, cross_norm, kappa, tau]), axis=0)
     return FrenetFrame(T=T, N=N, B=B, kappa=kappa[()], tau=tau[()], speed=speed[()]), exists
 
 
-def require_frames(frame: FrenetFrame, exists, ts, tol: Tolerances) -> None:
+def require_frames(frame: FrenetFrame, exists, ts) -> None:
     """Raise for the first sample of ``ts`` without a frame: ZeroSpeed when
     its speed vanished, DegenerateFrame otherwise."""
     missing = np.flatnonzero(~exists)
@@ -77,7 +77,7 @@ def require_frames(frame: FrenetFrame, exists, ts, tol: Tolerances) -> None:
         return
     i = missing[0]
     t, speed, kappa = (np.ravel(x)[i] for x in (ts, frame.speed, frame.kappa))
-    if speed <= tol.speed_tol:
+    if speed <= SPEED_TOL:
         raise ZeroSpeed(f"speed {speed:.3e} at t={t} is below the degeneracy threshold")
     raise DegenerateFrame(
         f"|a' x a''| = {kappa * speed**3:.3e} at t={t}; velocity and acceleration "
@@ -85,7 +85,7 @@ def require_frames(frame: FrenetFrame, exists, ts, tol: Tolerances) -> None:
     )
 
 
-def frame_at(curve, t, tol: Tolerances = DEFAULT_TOLERANCES) -> FrenetFrame:
+def frame_at(curve, t) -> FrenetFrame:
     """Frenet frame at ``t``, one parameter or a 1-D array of them.
 
     The binormal comes from the velocity cross acceleration and the normal
@@ -93,15 +93,9 @@ def frame_at(curve, t, tol: Tolerances = DEFAULT_TOLERANCES) -> FrenetFrame:
     construction. Raises ZeroSpeed or DegenerateFrame for the first sample
     where the frame does not exist.
     """
-    frame, exists = frames_from_derivatives(*curve.jet(t, (1, 2, 3)), tol)
-    require_frames(frame, exists, t, tol)
+    frame, exists = frames_from_derivatives(*curve.jet(t, (1, 2, 3)))
+    require_frames(frame, exists, t)
     return frame
-
-
-def curvature_torsion(curve, t, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[float, float]:
-    """Curvature and torsion at ``t`` for an arbitrary regular parameterization."""
-    frame = frame_at(curve, t, tol)
-    return frame.kappa, frame.tau
 
 
 #: Local tolerance of every arc length integral. Panels start short (a grid
@@ -179,10 +173,10 @@ class ArcLengthMap:
     keeps finite differences taken through this map well behaved.
     """
 
-    def __init__(self, curve: ParamCurve, grid_size: int = 512, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, curve: ParamCurve, grid_size: int = 512):
         self._curve = curve
         ts = uniform_grid(curve.t_lo, curve.t_hi, grid_size)
-        slow = np.flatnonzero(_speed(curve, ts) <= tol.speed_tol)
+        slow = np.flatnonzero(_speed(curve, ts) <= SPEED_TOL)
         if slow.size:
             raise ZeroSpeed(
                 f"speed vanishes near t={ts[slow[0]]}; arc length map is not invertible"
@@ -252,11 +246,10 @@ class ReparamCurve(ParamCurve):
 
     kind = "arclength_reparam"
 
-    def __init__(self, base: ParamCurve, length_map: ArcLengthMap, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, base: ParamCurve, length_map: ArcLengthMap):
         super().__init__(0.0, length_map.total_length)
         self._base = base
         self._map = length_map
-        self._tol = tol
 
     @property
     def base(self) -> ParamCurve:
@@ -276,7 +269,7 @@ class ReparamCurve(ParamCurve):
         if 1 in b:
             # Column vectors, so the chain rule below broadcasts over the rows.
             v = np.linalg.norm(b[1], axis=1, keepdims=True)
-            slow = np.flatnonzero(v <= self._tol.speed_tol)
+            slow = np.flatnonzero(v <= SPEED_TOL)
             if slow.size:
                 raise ZeroSpeed(f"base speed vanishes at t={t[slow[0]]}")
             t1 = 1.0 / v
@@ -304,10 +297,10 @@ class ReparamCurve(ParamCurve):
         return [out[k] for k in orders]
 
 
-def reparam_by_arclength(curve, grid_size: int = 512, tol: Tolerances = DEFAULT_TOLERANCES) -> ReparamCurve:
+def reparam_by_arclength(curve, grid_size: int = 512) -> ReparamCurve:
     """Arc length reparameterization of a regular curve.
 
     Raises ZeroSpeed when the speed falls to the degeneracy threshold
     anywhere on the sampling grid.
     """
-    return ReparamCurve(curve, ArcLengthMap(curve, grid_size=grid_size, tol=tol), tol=tol)
+    return ReparamCurve(curve, ArcLengthMap(curve, grid_size=grid_size))

@@ -24,7 +24,7 @@ import numpy as np
 from .curves import same_domain, uniform_grid
 from .errors import DegenerateFrame, DomainMismatch, InvalidField, NotAHelix
 from .frenet import frame_at, frames_from_derivatives, require_frames
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, SPEED_TOL, VECTOR_TOL, Tolerances
 
 #: Denominator floor in relative deviation, keeps sigma == 0 well defined.
 STAT_FLOOR = 1e-12
@@ -61,7 +61,7 @@ def constancy_stat(values, floor: float = STAT_FLOOR) -> ConstancyStat:
     )
 
 
-def frame_grid(curve, grid_size, tol: Tolerances, orders=(1, 2, 3)):
+def frame_grid(curve, grid_size, orders=(1, 2, 3)):
     """The uniform grid of grid_size parameters, at least 3, the curve's jet
     of ``orders`` (1, 2, 3, then any higher ones) on it, and its frames.
 
@@ -69,14 +69,14 @@ def frame_grid(curve, grid_size, tol: Tolerances, orders=(1, 2, 3)):
     """
     ts = uniform_grid(curve.t_lo, curve.t_hi, grid_size, least=3)
     jet = curve.jet(ts, orders)
-    frames, exists = frames_from_derivatives(*jet[:3], tol)
-    require_frames(frames, exists, ts, tol)
+    frames, exists = frames_from_derivatives(*jet[:3])
+    require_frames(frames, exists, ts)
     return ts, jet, frames
 
 
 def lancret_of(frames, tol: Tolerances):
     """The Lancret criterion on a frame grid; see lancret_test."""
-    if np.any(np.abs(frames.tau) <= tol.speed_tol):
+    if np.any(np.abs(frames.tau) <= SPEED_TOL):
         raise DegenerateFrame("torsion vanishes at a sample; Lancret ratio undefined there")
     stat = constancy_stat(frames.kappa / frames.tau)
     theta = math.atan(abs(stat.mean))
@@ -97,7 +97,7 @@ def lancret_test(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANC
     flag is true. Raises DegenerateFrame if the torsion vanishes at any
     sample, since the ratio is undefined there.
     """
-    return lancret_of(frame_grid(curve, grid_size, tol)[2], tol)
+    return lancret_of(frame_grid(curve, grid_size)[2], tol)
 
 
 def axis_of(frames, theta: float, ratio_stat: ConstancyStat, tol: Tolerances):
@@ -126,7 +126,7 @@ def helix_axis(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES
     constancy stat of the samples around it; raises NotAHelix when the
     Lancret test or the axis constancy fails.
     """
-    frames = frame_grid(curve, grid_size, tol)[2]
+    frames = frame_grid(curve, grid_size)[2]
     is_helix, theta, ratio_stat = lancret_of(frames, tol)
     require_helix(is_helix, ratio_stat)
     return axis_of(frames, theta, ratio_stat, tol)
@@ -165,24 +165,24 @@ def slant_test(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES
     grid spacing. Returns (is_slant_helix, sigma_stat); relative deviations
     are taken against at least SIGMA_FLOOR.
     """
-    _, jet, frames = frame_grid(curve, grid_size, tol, orders=(1, 2, 3, 4))
+    _, jet, frames = frame_grid(curve, grid_size, orders=(1, 2, 3, 4))
     return slant_of(jet, frames, tol)
 
 
-def bertrand_test(curve_a, curve_b, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES):
+def bertrand_test(curve_a, curve_b, grid_size: int = 256):
     """Bertrand mate test for two curves over the same parameter domain.
 
     Compares |N_a . N_b| pointwise; the pair passes when the minimum stays
-    within vector_tol of 1. The test is symmetric in its arguments.
+    within VECTOR_TOL of 1. The test is symmetric in its arguments.
     """
     if not same_domain(curve_a.domain, curve_b.domain):
         raise DomainMismatch(
             f"domains [{curve_a.t_lo}, {curve_a.t_hi}] and [{curve_b.t_lo}, {curve_b.t_hi}] differ"
         )
-    ts, _, frames_a = frame_grid(curve_a, grid_size, tol)
-    dots = np.abs(np.sum(frames_a.N * frame_at(curve_b, ts, tol).N, axis=1))
+    ts, _, frames_a = frame_grid(curve_a, grid_size)
+    dots = np.abs(np.sum(frames_a.N * frame_at(curve_b, ts).N, axis=1))
     stat = constancy_stat(dots)
-    return bool(np.min(dots) >= 1.0 - tol.vector_tol), stat
+    return bool(np.min(dots) >= 1.0 - VECTOR_TOL), stat
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def classify_curve(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERA
     whose curvature and torsion are each constant. theta and axis are
     populated only for general helices.
     """
-    _, jet, frames = frame_grid(curve, grid_size, tol, orders=(1, 2, 3, 4))
+    _, jet, frames = frame_grid(curve, grid_size, orders=(1, 2, 3, 4))
     return classify_of(jet, frames, tol)
 
 

@@ -24,12 +24,15 @@ from .curves import ParamCurve, as_vec3, uniform_grid
 from .errors import DegenerateDenominator, InvalidField, NotUnitSpeed, ThetaMismatch
 from .frenet import frames_from_derivatives, require_frames
 from .helix import axis_of, lancret_of, require_helix
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, VECTOR_TOL, Tolerances
 
 AXIS_MODES = ("unit", "paper_printed", "explicit")
 
 #: Angles closer than this to 0 or pi/2 take the degenerate construction path.
 _DEGENERATE_THETA = 1e-12
+
+#: closed_form_lift_frame raises when lambda^2 + mu^2 falls to this.
+_DENOM_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -40,7 +43,8 @@ class LiftSpec:
     axis_mode chooses how the axis vector is obtained: "unit" measures the
     base helix axis and normalizes it, "paper_printed" doubles that unit
     axis (the convention used by the printed worked example), and
-    "explicit" takes the axis field verbatim.
+    "explicit" takes the axis field verbatim; theta = 0, where the lift is a
+    line along the axis, needs it.
     """
 
     theta: float | None
@@ -68,6 +72,9 @@ class LiftSpec:
                 raise InvalidField("explicit axis must be nonzero")
         elif self.axis is not None:
             raise InvalidField("axis field is only allowed with axis_mode 'explicit'")
+        elif self.theta is not None and self.theta < _DEGENERATE_THETA:
+            raise InvalidField("theta = 0 collapses the lift to a line along the axis; "
+                               "axis_mode must be 'explicit'")
 
     @property
     def is_degenerate(self) -> bool:
@@ -116,10 +123,10 @@ class LiftedCurve(ParamCurve):
         return outs
 
 
-def require_unit_speed(speed, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-    """Strict lift_curve's gate: NotUnitSpeed unless every speed is within vector_tol of 1."""
+def require_unit_speed(speed) -> None:
+    """Strict lift_curve's gate: NotUnitSpeed unless every speed is within VECTOR_TOL of 1."""
     worst = float(np.max(np.abs(speed - 1.0)))
-    if not worst <= tol.vector_tol:
+    if not worst <= VECTOR_TOL:
         raise NotUnitSpeed(f"speed deviates from 1 by {worst:.3e}; "
                            "reparameterize by arc length first")
 
@@ -136,23 +143,24 @@ def lift_curve(
     Everything measured comes from one frame grid of alpha with grid_size
     samples. spec.theta None means alpha's helix angle as lancret_test
     measures it; the returned curve's spec holds that angle. With strict=True
-    (the default) the base must be unit speed within vector_tol and pass the
-    Lancret test, whatever the axis mode, and for non-explicit axis modes its
-    measured helix angle must agree with spec.theta. strict=False skips the
-    unit speed gate, which the printed worked example needs since its base
-    keeps its non arc length parameter, and with an explicit axis it skips
-    the Lancret test too.
+    (the default) the base must be unit speed within VECTOR_TOL, have a frame
+    at every sample and pass the Lancret test, whatever the axis mode and
+    theta, and for non-explicit axis modes and a theta not within 1e-12 of 0
+    or pi/2 its measured helix angle must agree with spec.theta.
+    strict=False skips the unit speed gate, which the printed worked example
+    needs since its base keeps its non arc length parameter, and with an
+    explicit axis or a degenerate theta it skips the Lancret test too.
 
     Degenerate angles are allowed: theta = pi/2 is a pure translation by
     offset (the axis term vanishes), theta = 0 produces the straight line
-    offset + axis * (s - s0) and therefore requires an explicit axis. A given
-    degenerate theta builds no grid; a measured one skips the later gates.
+    offset + axis * (s - s0) and therefore requires an explicit axis. Without
+    strict, a given degenerate theta builds no grid.
     """
 
     def grid():
         # One jet serves the unit speed gate, the frames and the measured angle.
         ts = uniform_grid(alpha.t_lo, alpha.t_hi, grid_size, least=3)
-        return ts, *frames_from_derivatives(*alpha.jet(ts, (1, 2, 3)), tol)
+        return ts, *frames_from_derivatives(*alpha.jet(ts, (1, 2, 3)))
 
     return _lift_on_grid(alpha, spec, grid, tol, strict)
 
@@ -161,25 +169,26 @@ def _lift_on_grid(alpha, spec, grid, tol, strict) -> LiftedCurve:
     """lift_curve on alpha's grid: grid() returns (ts, frames, exists), the
     frames as frames_from_derivatives gives them for alpha's jet at ts, and is
     called only where lift_curve measures alpha."""
-    gated = strict or spec.axis_mode != "explicit"
-    if spec.theta is None or (gated and not spec.is_degenerate):
+
+    def gated(spec):
+        # Strict lifts pass every gate; others pass the Lancret test only
+        # where the measured angle gives the axis.
+        return strict or not (spec.axis_mode == "explicit" or spec.is_degenerate)
+
+    if spec.theta is None or gated(spec):
         ts, frames, exists = grid()
         if strict:
-            require_unit_speed(frames.speed, tol)
-        require_frames(frames, exists, ts, tol)
+            require_unit_speed(frames.speed)
+        require_frames(frames, exists, ts)
         is_helix, theta_measured, ratio_stat = lancret_of(frames, tol)
         if spec.theta is None:
             spec = replace(spec, theta=theta_measured)
 
+    if gated(spec):
+        require_helix(is_helix, ratio_stat)
     if spec.is_degenerate:
-        if spec.theta < _DEGENERATE_THETA and spec.axis_mode != "explicit":
-            raise InvalidField("theta = 0 collapses the lift to a line along the axis; "
-                               "axis_mode must be 'explicit'")
         # At theta = pi/2 the axis term carries cos(theta) = 0 and is inert.
         return LiftedCurve(alpha, spec, np.zeros(3) if spec.axis is None else spec.axis)
-
-    if gated:
-        require_helix(is_helix, ratio_stat)
     if spec.axis_mode == "explicit":
         return LiftedCurve(alpha, spec, spec.axis)
     if abs(theta_measured - spec.theta) > tol.constancy_tol:
@@ -207,14 +216,12 @@ class ClosedFormFrame:
     bbar_B_coeff: float
 
 
-def closed_form_lift_frame(
-    kappa: float, tau: float, theta: float, denom_tol: float = 1e-12
-) -> ClosedFormFrame:
+def closed_form_lift_frame(kappa: float, tau: float, theta: float) -> ClosedFormFrame:
     """Evaluate the printed lifted frame coefficients at one (kappa, tau).
 
     lambda = cos sin^2 + cos^3 sin depends on theta alone;
     mu = (sin + cos^2) kappa - lambda tau. Raises DegenerateDenominator when
-    lambda^2 + mu^2 falls to denom_tol.
+    lambda^2 + mu^2 falls to 1e-12.
     """
     kappa = float(kappa)
     tau = float(tau)
@@ -228,8 +235,8 @@ def closed_form_lift_frame(
     lam = c * s * s + c**3 * s
     mu = (s + c * c) * kappa - lam * tau
     denom_sq = lam * lam + mu * mu
-    if denom_sq <= denom_tol:
-        raise DegenerateDenominator(f"lambda^2 + mu^2 = {denom_sq:.3e} is below {denom_tol:.1e}")
+    if denom_sq <= _DENOM_TOL:
+        raise DegenerateDenominator(f"lambda^2 + mu^2 = {denom_sq:.3e} is below {_DENOM_TOL:.1e}")
     denom = math.sqrt(denom_sq)
     bbar_T = lam / denom
     bbar_B = mu / denom

@@ -25,14 +25,14 @@ from .frenet import (
     reparam_by_arclength,
     require_frames,
 )
-from .helix import classify_of, constancy_stat, lancret_of, require_helix, slant_of, slant_test
-from .lift import LiftSpec, _lift_on_grid, closed_form_lift_frame, lift_curve, require_unit_speed
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .helix import classify_of, constancy_stat, slant_of, slant_test
+from .lift import LiftSpec, _lift_on_grid, closed_form_lift_frame, lift_curve
+from .tolerances import DEFAULT_TOLERANCES, VECTOR_TOL, Tolerances
 
 _FLOOR = 1e-12
 
 
-def oracle_frame(curve, t, h, tol: Tolerances = DEFAULT_TOLERANCES) -> FrenetFrame:
+def oracle_frame(curve, t, h) -> FrenetFrame:
     """Frenet frame reconstructed from five position samples around t.
 
     t is one parameter or a 1-D array of them. Derivative stencils are the
@@ -58,8 +58,8 @@ def oracle_frame(curve, t, h, tol: Tolerances = DEFAULT_TOLERANCES) -> FrenetFra
     d1 = (f[3] - f[1]) / (2.0 * h)
     d2 = (f[3] - 2.0 * f[2] + f[1]) / (h * h)
     d3 = (f[4] - 2.0 * f[3] + 2.0 * f[1] - f[0]) / (2.0 * h**3)
-    frame, exists = frames_from_derivatives(d1, d2, d3, tol)
-    require_frames(frame, exists, ts, tol)
+    frame, exists = frames_from_derivatives(d1, d2, d3)
+    require_frames(frame, exists, ts)
     return frame
 
 
@@ -153,7 +153,6 @@ def run_theorem_checks(
     spec: LiftSpec,
     grid_size: int = 100,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    oracle_step: float | None = None,
 ) -> VerificationReport:
     """Oracle-level checks of the three lift theorems for one base curve.
 
@@ -166,25 +165,23 @@ def run_theorem_checks(
     base normals. The oracle grid spans the domain minus the stencil margin.
     """
     lifted, jet, frames, lift_slant = _strict_lift_and_slant(alpha, spec, 256, tol)
-    return _theorem_checks(alpha, lifted, classify_of(jet, frames, tol), lift_slant, grid_size,
-                           tol, oracle_step)
+    return _theorem_checks(alpha, lifted, classify_of(jet, frames, tol), lift_slant, grid_size, tol)
 
 
-def _theorem_checks(alpha, lifted, base, lift_slant_test, grid_size, tol,
-                    oracle_step=None) -> VerificationReport:
+def _theorem_checks(alpha, lifted, base, lift_slant_test, grid_size, tol) -> VerificationReport:
     """run_theorem_checks on the strict lift of alpha, alpha's classification
     (which gives the axis and the base slant verdict) and the lift's slant test."""
     spec = lifted.spec
-    h = float(oracle_step) if oracle_step is not None else _theorem_oracle_step(alpha.span)
+    h = _theorem_oracle_step(alpha.span)
     lo, hi = alpha.domain
     us = uniform_grid(lo + 2.0 * h, hi - 2.0 * h, grid_size, least=1)
-    lifted_frames = oracle_frame(lifted, us, h, tol)
+    lifted_frames = oracle_frame(lifted, us, h)
     axis_dots = lifted_frames.T @ base.axis
-    normal_dots = np.abs(np.sum(lifted_frames.N * frame_at(alpha, us, tol).N, axis=1))
+    normal_dots = np.abs(np.sum(lifted_frames.N * frame_at(alpha, us).N, axis=1))
 
     t1_stat = constancy_stat(axis_dots)
     theorem1 = TheoremResult(
-        passed=t1_stat.rel_dev <= tol.vector_tol,
+        passed=t1_stat.rel_dev <= VECTOR_TOL,
         residual=t1_stat.rel_dev,
         value=t1_stat.mean,
         note="relative deviation of <axis, oracle lifted tangent> over the grid",
@@ -201,7 +198,7 @@ def _theorem_checks(alpha, lifted, base, lift_slant_test, grid_size, tol,
 
     t3_min = float(np.min(normal_dots))
     theorem3 = TheoremResult(
-        passed=(1.0 - t3_min) <= tol.vector_tol,
+        passed=(1.0 - t3_min) <= VECTOR_TOL,
         residual=1.0 - t3_min,
         value=t3_min,
         note="worst |oracle lifted normal . base normal| over the grid",
@@ -216,12 +213,12 @@ def _theorem_checks(alpha, lifted, base, lift_slant_test, grid_size, tol,
             "oracle_step": h,
             "theta": spec.theta,
             "axis_mode": spec.axis_mode,
-            "tolerances": asdict(tol),
+            "tolerances": tol.report(),
         },
     )
 
 
-def _entry(claim, printed, oracle, rule, samples, tol) -> ErrataEntry:
+def _entry(claim, printed, oracle, rule, samples) -> ErrataEntry:
     """One audited claim. rule "abs" takes the worst component difference,
     "sign_free" the same allowing one global sign flip, and "rel" the worst
     difference relative to the oracle value."""
@@ -239,7 +236,7 @@ def _entry(claim, printed, oracle, rule, samples, tol) -> ErrataEntry:
         printed_value=expr,
         oracle_value=oracle.tolist(),
         location=location,
-        agrees=bool(delta <= tol.vector_tol),
+        agrees=bool(delta <= VECTOR_TOL),
         delta=delta,
         printed_samples=printed.tolist(),
         sample_points=[float(s) for s in samples],
@@ -249,20 +246,14 @@ def _entry(claim, printed, oracle, rule, samples, tol) -> ErrataEntry:
 def _strict_lift_and_slant(base, spec, grid_size, tol):
     """The strict lift of base, base's jet of orders 1..4 and frames on one
     grid, and the lift's slant test, from one evaluation of base: the lift's
-    jet is derived from base's. Unlike lift_curve, a degenerate theta does not
-    skip the gates on base: unit speed, frames, then the Lancret test."""
+    jet is derived from base's."""
     ts = uniform_grid(base.t_lo, base.t_hi, grid_size, least=3)
     jet = base.jet(ts, (1, 2, 3, 4))
-    frames, exists = frames_from_derivatives(*jet[:3], tol)
+    frames, exists = frames_from_derivatives(*jet[:3])
     lifted = _lift_on_grid(base, spec, lambda: (ts, frames, exists), tol, strict=True)
-    if lifted.spec.is_degenerate:
-        require_unit_speed(frames.speed, tol)
-        require_frames(frames, exists, ts, tol)
-        is_helix, _, ratio_stat = lancret_of(frames, tol)
-        require_helix(is_helix, ratio_stat)
     lifted_jet = lifted.lift_jet(ts, (1, 2, 3, 4), jet)
-    lifted_frames, lifted_exists = frames_from_derivatives(*lifted_jet[:3], tol)
-    require_frames(lifted_frames, lifted_exists, ts, tol)
+    lifted_frames, lifted_exists = frames_from_derivatives(*lifted_jet[:3])
+    require_frames(lifted_frames, lifted_exists, ts)
     return lifted, jet, frames, slant_of(lifted_jet, lifted_frames, tol)
 
 
@@ -283,20 +274,20 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
     def printed(formula):
         return [formula(s) for s in samples]
 
-    oracle_lit = oracle_frame(literal, samples, h_literal, tol)
-    exact_lit = frame_at(literal, samples, tol)
+    oracle_lit = oracle_frame(literal, samples, h_literal)
+    exact_lit = frame_at(literal, samples)
     lifted_literal = lift_curve(
         literal, LiftSpec(theta=theta, axis_mode="paper_printed"), tol=tol, strict=False
     )
     # The printed axis is twice the unit axis, so halving it is exact.
     axis_unit = lifted_literal.axis / 2.0
 
-    alpha_u = reparam_by_arclength(literal, tol=tol)
+    alpha_u = reparam_by_arclength(literal)
     lifted_u, jet_u, frames_u, lift_slant_u = _strict_lift_and_slant(
         alpha_u, LiftSpec(theta=theta), 256, tol
     )
     h_main = _theorem_oracle_step(alpha_u.span)
-    oracle_bar = oracle_frame(lifted_u, alpha_u.length_map.forward(samples), h_main, tol)
+    oracle_bar = oracle_frame(lifted_u, alpha_u.length_map.forward(samples), h_main)
 
     # Printed binormal coefficient pair (lambda, mu) and normal factor c,
     # evaluated at the oracle-confirmed kappa and tau of the base curve.
@@ -350,7 +341,7 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
           "(sqrt(lambda^2 + mu^2) sqrt(1 + cos sin2))"),
          [cf.c for cf in closed], np.sum(oracle_bar.N * exact_lit.N, axis=1), "rel"),
     ]
-    entries = [_entry(*claim, samples, tol) for claim in claims]
+    entries = [_entry(*claim, samples) for claim in claims]
 
     main = _theorem_checks(alpha_u, lifted_u, classify_of(jet_u, frames_u, tol), lift_slant_u,
                            grid_size=100, tol=tol)
@@ -360,7 +351,7 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
     pair_flags = ["cubic:agree" if main.theorem2.passed else "cubic:disagree"]
     t2_pass = main.theorem2.passed
     for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
-        base_u = reparam_by_arclength(fixtures.circular_helix(a, b), tol=tol)
+        base_u = reparam_by_arclength(fixtures.circular_helix(a, b))
         _, jet, frames, (lift_ok, lift_stat) = _strict_lift_and_slant(
             base_u, LiftSpec(theta=math.atan2(a, b)), grid_size, tol
         )
@@ -390,6 +381,6 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
             "oracle_step_main": h_main,
             "sample_points": [float(s) for s in samples],
             "theta": theta,
-            "tolerances": asdict(tol),
+            "tolerances": tol.report(),
         },
     )

@@ -118,7 +118,7 @@ def test_a_lifted_jet_from_its_base_jet_equals_the_lifted_jet(base):
 
 def test_classify_of_a_frame_grid_equals_classify_curve():
     curve = reparam_by_arclength(paper_cubic())
-    _, jet, frames = helix.frame_grid(curve, 64, DEFAULT_TOLERANCES, orders=(1, 2, 3, 4))
+    _, jet, frames = helix.frame_grid(curve, 64, orders=(1, 2, 3, 4))
     got = helix.classify_of(jet, frames, DEFAULT_TOLERANCES)
     want = classify_curve(curve, grid_size=64)
     for name in want.__dataclass_fields__:

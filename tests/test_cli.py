@@ -500,3 +500,19 @@ def test_lift_reparameterizes_by_the_strict_gate_grid(monkeypatch, capsys):
     doc = json.loads(out)
     assert doc["base_reparameterized"] is True
     assert abs(doc["theta"] - math.atan2(0.6, 0.8)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--theta", "1.5707963267948966"], ["--theta", "0", "--axis", "1,0,0"]],
+    ids=["right_angle", "zero"],
+)
+def test_a_strict_lift_gates_its_base_at_a_degenerate_theta(capsys, argv):
+    argv = ["lift", "--spec", "twisted_cubic", *argv]
+    assert run(capsys, *argv) == (
+        2, "", "degenerate geometry: kappa/tau relative deviation 2.918e-01 exceeds tolerance\n"
+    )
+    code, out, err = run(capsys, *argv, "--no-strict")
+    assert code == 0
+    assert json.loads(out)["base_reparameterized"]
+    assert err == "note: base curve is not unit speed, reparameterized by arc length\n"

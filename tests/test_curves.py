@@ -8,11 +8,12 @@ import pytest
 
 from helixlift import (
     CircularHelix,
+    DegenerateFrame,
     OutOfDomain,
     PolynomialCurve,
     Polyline,
     TransformedCurve,
-    regularity_check,
+    frame_at,
 )
 from helixlift.errors import InvalidField, UnsupportedOrder
 from helixlift.fixtures import paper_cubic
@@ -87,18 +88,18 @@ def test_polyline_interpolates_its_points():
 
 
 def test_regularity_on_the_cubic():
-    rep = regularity_check(paper_cubic(), grid_size=257)
-    assert rep.is_regular
-    assert rep.is_twisted
+    # frame_at raises unless every sample has a frame; |a' x a''| = kappa speed^3
+    fr = frame_at(paper_cubic(), np.linspace(-3.0, 3.0, 257))
+    assert np.min(fr.kappa * fr.speed**3) > 1e-8
     # grid of 257 points on [-3, 3] hits s = 0 where the speed bottoms out at 6
-    assert abs(rep.min_speed - 6.0) < 1e-12
+    assert abs(np.min(fr.speed) - 6.0) < 1e-12
 
 
 def test_regularity_flags_a_line():
     line = PolynomialCurve([[0, 1], [0, 2], [0, -1]], domain=(0.0, 1.0))
-    rep = regularity_check(line)
-    assert rep.is_regular
-    assert not rep.is_twisted
+    with pytest.raises(DegenerateFrame):
+        frame_at(line, np.linspace(0.0, 1.0, 256))
+    assert np.min(np.linalg.norm(line.eval(np.linspace(0.0, 1.0, 256), 1), axis=1)) > 1e-8
 
 
 def test_transform_maps_positions_and_derivatives():

@@ -79,6 +79,9 @@ def test_serialization_is_stable():
     assert doc["kind"] == "polynomial"
 
 
+HELIX = {"kind": "circular_helix", "domain": [0, 1], "radius": 1, "pitch": 1}
+
+
 def test_not_json_raises_parse_error():
     with pytest.raises(ParseError):
         parse_curve_spec("{not json")
@@ -135,3 +138,25 @@ def test_a_reparam_grid_is_checked_before_its_base():
         curve_from_dict(doc)
     with pytest.raises(InvalidField, match="'grid' must be an integer >= 2, got 2.5"):
         curve_from_dict({**doc, "grid": 2.5})
+
+
+@pytest.mark.parametrize(
+    "name, doc",
+    [
+        ("coeffs", {"kind": "polynomial", "domain": [0, 1], "coeffs": [[0, True], [0], [0]]}),
+        ("points", {"kind": "polyline", "points": [[0, 0, 0], [1, False, 0]], "knots": [0, 1]}),
+        ("knots", {"kind": "polyline", "points": [[0, 0, 0], [1, 0, 0]], "knots": [False, 1]}),
+        ("offset", {"kind": "lifted", "theta": 0.5, "offset": [True, 0, 0], "base": HELIX}),
+        ("axis", {"kind": "lifted", "theta": 0.5, "axis_mode": "explicit", "axis": [0, 0, True],
+                  "base": HELIX}),
+    ],
+)
+def test_a_boolean_is_not_a_number_in_an_array_field(name, doc):
+    with pytest.raises(InvalidField, match=f"^field '{name}' holds a boolean where a number belongs$"):
+        curve_from_dict(doc)
+
+
+def test_a_domain_wider_than_the_float_range_is_invalid():
+    doc = {**HELIX, "domain": [-1e308, 1e308]}
+    with pytest.raises(InvalidField, match=r"^domain \[-1e\+308, 1e\+308\] is wider than the float range$"):
+        curve_from_dict(doc)

@@ -19,7 +19,6 @@ from helixlift import (
     TransformedCurve,
     ZeroSpeed,
     arc_length,
-    curvature_torsion,
     frame_at,
     reparam_by_arclength,
 )
@@ -49,27 +48,26 @@ def test_cubic_frame_at_one():
 
 @pytest.mark.parametrize("t", [-2.0, -0.5, 0.0, 0.5, 2.0])
 def test_cubic_kappa_equals_tau_everywhere(t):
-    kappa, tau = curvature_torsion(CUBIC, t)
+    fr = frame_at(CUBIC, t)
     want = 2.0 / (3.0 * (t * t + 2.0) ** 2)
-    assert abs(kappa - want) < 1e-14
-    assert abs(tau - want) < 1e-14
+    assert abs(fr.kappa - want) < 1e-14
+    assert abs(fr.tau - want) < 1e-14
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
 def test_circular_helix_constants(a, b):
     h = circular_helix(a, b)
     denom = a * a + b * b
-    for t in (0.0, 1.0, 4.0):
-        kappa, tau = curvature_torsion(h, t)
-        assert abs(kappa - a / denom) < 1e-12
-        assert abs(tau - b / denom) < 1e-12
+    fr = frame_at(h, np.array([0.0, 1.0, 4.0]))
+    assert np.all(np.abs(fr.kappa - a / denom) < 1e-12)
+    assert np.all(np.abs(fr.tau - b / denom) < 1e-12)
 
 
 def test_planar_circle_has_zero_torsion():
     c = planar_circle(2.0)
-    kappa, tau = curvature_torsion(c, 0.7)
-    assert abs(kappa - 0.5) < 1e-12
-    assert abs(tau) < 1e-12
+    fr = frame_at(c, 0.7)
+    assert abs(fr.kappa - 0.5) < 1e-12
+    assert abs(fr.tau) < 1e-12
 
 
 def test_straight_line_frame_degenerates():
@@ -115,10 +113,9 @@ def test_reparam_preserves_geometry():
     for s in (-2.0, 0.0, 1.5):
         u = m.forward(s)
         npt.assert_allclose(alpha.eval(u, 0), CUBIC.eval(s, 0), atol=1e-9)
-        kappa_u, tau_u = curvature_torsion(alpha, u)
-        kappa_s, tau_s = curvature_torsion(CUBIC, s)
-        assert abs(kappa_u - kappa_s) < 1e-10
-        assert abs(tau_u - tau_s) < 1e-10
+        fr_u, fr_s = frame_at(alpha, u), frame_at(CUBIC, s)
+        assert abs(fr_u.kappa - fr_s.kappa) < 1e-10
+        assert abs(fr_u.tau - fr_s.tau) < 1e-10
 
 
 def test_length_map_roundtrip():
@@ -158,19 +155,17 @@ def test_rigid_motion_leaves_kappa_tau_alone():
         ]
     )
     moved = TransformedCurve(CUBIC, rotation=rot, translation=np.array([3.0, -1.0, 2.0]))
-    for t in (-1.0, 0.0, 2.0):
-        k0, t0 = curvature_torsion(CUBIC, t)
-        k1, t1 = curvature_torsion(moved, t)
-        assert abs(k1 - k0) / k0 < 1e-9
-        assert abs(t1 - t0) / abs(t0) < 1e-9
+    ts = np.array([-1.0, 0.0, 2.0])
+    fr0, fr1 = frame_at(CUBIC, ts), frame_at(moved, ts)
+    assert np.all(np.abs(fr1.kappa - fr0.kappa) / fr0.kappa < 1e-9)
+    assert np.all(np.abs(fr1.tau - fr0.tau) / np.abs(fr0.tau) < 1e-9)
 
 
 def test_scaling_divides_kappa_tau():
     scale = 2.5
     scaled = TransformedCurve(CUBIC, scale=scale)
-    for t in (-1.0, 0.5, 2.0):
-        k0, t0 = curvature_torsion(CUBIC, t)
-        k1, t1 = curvature_torsion(scaled, t)
-        assert abs(k1 - k0 / scale) / (k0 / scale) < 1e-9
-        assert abs(t1 - t0 / scale) / abs(t0 / scale) < 1e-9
+    ts = np.array([-1.0, 0.5, 2.0])
+    fr0, fr1 = frame_at(CUBIC, ts), frame_at(scaled, ts)
+    assert np.all(np.abs(fr1.kappa - fr0.kappa / scale) / (fr0.kappa / scale) < 1e-9)
+    assert np.all(np.abs(fr1.tau - fr0.tau / scale) / np.abs(fr0.tau / scale) < 1e-9)
     assert abs(arc_length(scaled, 0.0, 1.0) - scale * 7.0) < 1e-8

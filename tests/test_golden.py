@@ -1,4 +1,4 @@
-"""CLI outputs against goldens recorded at commits f9ae52a, 1425b73 and 991e48e.
+"""CLI outputs against goldens recorded at commits f9ae52a, 1425b73, 991e48e and 4023430.
 
 The files under data/golden are the outputs of these commands, run in an
 empty directory. The first three were recorded at f9ae52a, except
@@ -9,7 +9,10 @@ length). The last two were recorded at 1425b73, before lift_curve measured
 an auto theta itself; the second one's base is already unit speed, so it is
 not reparameterized. The last one, recorded at 991e48e, pins verify-paper on
 a grid other than the default. Both verify-paper reports were recorded again
-without their "fd_step" line when Tolerances lost that field:
+without their "fd_step" line when Tolerances lost that field. The three
+classify runs, recorded at 4023430, pin the decision layer's JSON: a general
+and slant helix, a curve that is neither, and a --tol so tight that every
+verdict fails:
 
     helixlift verify-paper --out verify_paper.json
     helixlift lift --spec circular_helix:2,1 --theta auto --emit lifted.json
@@ -17,6 +20,9 @@ without their "fd_step" line when Tolerances lost that field:
     helixlift lift --spec paper_cubic --theta auto --axis paper --samples 128 --emit lifted_paper.json
     helixlift lift --spec circular_helix:0.6,0.8 --theta auto
     helixlift verify-paper --samples 64 --out verify_paper_64.json
+    helixlift classify --spec paper_cubic
+    helixlift classify --spec twisted_cubic
+    helixlift classify --spec paper_cubic --tol 1e-30
 
 with stdout and stderr saved as <name>.stdout and <name>.stderr (absent when
 empty). Refactors must keep the same frames, verdicts, lifts and errata
@@ -43,6 +49,9 @@ RUNS = [
     ("lift_unit_speed", ["lift", "--spec", "circular_helix:0.6,0.8", "--theta", "auto"], 0, []),
     ("verify_paper_64", ["verify-paper", "--samples", "64", "--out", "verify_paper_64.json"],
      0, ["verify_paper_64.json"]),
+    ("classify_paper_cubic", ["classify", "--spec", "paper_cubic"], 0, []),
+    ("classify_twisted_cubic", ["classify", "--spec", "twisted_cubic"], 0, []),
+    ("classify_paper_cubic_tight", ["classify", "--spec", "paper_cubic", "--tol", "1e-30"], 0, []),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

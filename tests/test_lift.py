@@ -144,11 +144,18 @@ def test_a_measured_degenerate_theta_takes_the_degenerate_path():
 
 
 def test_a_given_degenerate_theta_builds_no_grid(monkeypatch):
+    # Only without strict: a strict lift gates its base at every theta.
+    with pytest.raises(NotUnitSpeed):
+        lift_curve(twisted_cubic(), LiftSpec(theta=math.pi / 2))
+    with pytest.raises(NotAHelix):
+        lift_curve(reparam_by_arclength(twisted_cubic()),
+                   LiftSpec(theta=0.0, axis_mode="explicit", axis=np.ones(3)))
+
     def no_grid(*args):
         raise AssertionError("a frame grid was built")
 
     monkeypatch.setattr(lift_module, "frames_from_derivatives", no_grid)
-    lift_curve(unit_cubic(), LiftSpec(theta=math.pi / 2))
+    lift_curve(twisted_cubic(), LiftSpec(theta=math.pi / 2), strict=False)
     lift_curve(paper_cubic(), LiftSpec(theta=0.5, axis_mode="explicit", axis=np.ones(3)),
                strict=False)
 

@@ -136,7 +136,7 @@ def test_theorem_checks_on_a_circular_helix():
     ids=["not_unit_speed", "line", "not_a_helix"],
 )
 def test_theorem_checks_gate_the_base_at_a_degenerate_theta(make, error, message):
-    # lift_curve measures no base at a given theta of pi/2; the theorems need it measured.
+    # The strict lift gates its base at a given theta of pi/2 too.
     with pytest.raises(error, match=re.escape(message)):
         run_theorem_checks(make(), LiftSpec(theta=math.pi / 2))
 
