@@ -101,7 +101,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_frenet(args) -> int:
     curve = _load_curve(args.spec)
-    _tolerances(args)  # every command rejects a bad --tol, though a frame takes none
     frame = frame_at(curve, args.at)
     doc = {
         "t": float(args.at),
@@ -146,7 +145,7 @@ def _cmd_lift(args) -> int:
         reparameterized = True
         lifted = lift_curve(base, spec, grid_size=args.samples, tol=tol, strict=strict)
     else:
-        grid = (ts, *frames_from_derivatives(*jet))
+        grid = (ts, jet, *frames_from_derivatives(*jet))
         lifted = _lift_on_grid(base, spec, lambda: grid, tol, strict)
 
     if args.emit:
@@ -170,7 +169,6 @@ def _cmd_lift(args) -> int:
 def _cmd_sample(args) -> int:
     n = check_grid_size(args.n, name="--n")
     curve = _load_curve(args.spec)
-    _tolerances(args)  # every command rejects a bad --tol, though sampling takes none
     ts = uniform_grid(curve.t_lo, curve.t_hi, n, name="--n")
     derivs = curve.jet(ts, (0, 1, 2, 3) if args.frames else (0,))
     table = np.column_stack([ts, derivs[0]])
@@ -214,13 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
                                  "for regular space curves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--spec", required=True,
-                       help="fixture name (paper_cubic, twisted_cubic, circular_helix:a,b, "
-                            "circle:r) or path to a curve JSON file")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the constancy tolerance used for decisions")
-        p.add_argument("--out", default=None, help="write JSON output here instead of stdout")
+    def common(p, spec=True, tol=True):
+        if spec:
+            p.add_argument("--spec", required=True,
+                           help="fixture name (paper_cubic, twisted_cubic, circular_helix:a,b, "
+                                "circle:r) or path to a curve JSON file")
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the constancy tolerance used for decisions")
+        p.add_argument("--out", default=None, help="write the JSON output to this file")
 
     p = sub.add_parser("classify", help="run the helix classification battery")
     common(p)
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("frenet", help="Frenet frame, curvature and torsion at one parameter")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--at", type=float, required=True, help="parameter value")
     p.set_defaults(func=_cmd_frenet)
 
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("sample", help="sample positions (and optionally frames) to CSV")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--frames", action="store_true", help="include frame columns")
     p.add_argument("--csv", default=None, help="write CSV here instead of stdout")
@@ -255,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper",
                        help="audit the worked example against the oracle and check the theorems")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the constancy tolerance used for decisions")
-    p.add_argument("--out", default=None, help="write the full JSON report here")
+    common(p, spec=False)
     p.add_argument("--samples", type=int, default=256, help="grid size (default 256)")
     p.set_defaults(func=_cmd_verify_paper)
 

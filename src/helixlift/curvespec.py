@@ -75,12 +75,15 @@ def _domain(doc, required=True):
 
 def _array(doc, name):
     """Field ``name`` (None when absent), a list of numbers or of lists of
-    them; raises InvalidField for a boolean among them, which numpy would
-    read as 1 or 0."""
+    them; raises InvalidField for any other entry, such as a boolean or a
+    numeric string, which numpy would read as a number."""
     value = doc.get(name)
     for row in value if isinstance(value, list) else ():
-        if isinstance(row, bool) or (isinstance(row, list) and any(isinstance(v, bool) for v in row)):
-            raise InvalidField(f"field {name!r} holds a boolean where a number belongs")
+        for v in row if isinstance(row, list) else (row,):
+            if isinstance(v, bool):
+                raise InvalidField(f"field {name!r} holds a boolean where a number belongs")
+            if not isinstance(v, (int, float)):
+                raise InvalidField(f"field {name!r} holds {v!r} where a number belongs")
     return value
 
 

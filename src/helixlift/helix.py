@@ -62,20 +62,22 @@ def constancy_stat(values, floor: float = STAT_FLOOR) -> ConstancyStat:
 
 
 def frame_grid(curve, grid_size, orders=(1, 2, 3)):
-    """The uniform grid of grid_size parameters, at least 3, the curve's jet
-    of ``orders`` (1, 2, 3, then any higher ones) on it, and its frames.
-
-    Raises ZeroSpeed or DegenerateFrame for the first sample without a frame.
-    """
+    """(ts, jet, frames, exists): the uniform grid of grid_size parameters, at
+    least 3, the curve's jet of ``orders`` (1, 2, 3, then any higher ones) on
+    it, its frames and the mask of samples that have one; see require_frames."""
     ts = uniform_grid(curve.t_lo, curve.t_hi, grid_size, least=3)
     jet = curve.jet(ts, orders)
-    frames, exists = frames_from_derivatives(*jet[:3])
-    require_frames(frames, exists, ts)
-    return ts, jet, frames
+    return ts, jet, *frames_from_derivatives(*jet[:3])
 
 
 def lancret_of(frames, tol: Tolerances):
-    """The Lancret criterion on a frame grid; see lancret_test."""
+    """The Lancret criterion on a frame grid: kappa / tau constant.
+
+    Returns (is_general_helix, theta, ratio_stat). theta is reported in
+    (0, pi/2) regardless of the torsion sign; it is only meaningful when the
+    flag is true. Raises DegenerateFrame if the torsion vanishes at any
+    sample, since the ratio is undefined there.
+    """
     if np.any(np.abs(frames.tau) <= SPEED_TOL):
         raise DegenerateFrame("torsion vanishes at a sample; Lancret ratio undefined there")
     stat = constancy_stat(frames.kappa / frames.tau)
@@ -83,25 +85,11 @@ def lancret_of(frames, tol: Tolerances):
     return stat.rel_dev <= tol.constancy_tol, theta, stat
 
 
-def require_helix(is_helix: bool, ratio_stat: ConstancyStat) -> None:
-    """Raise NotAHelix unless the Lancret test passed."""
-    if not is_helix:
-        raise NotAHelix(f"kappa/tau relative deviation {ratio_stat.rel_dev:.3e} exceeds tolerance")
-
-
-def lancret_test(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Lancret criterion on a uniform grid.
-
-    Returns (is_general_helix, theta, ratio_stat). theta is reported in
-    (0, pi/2) regardless of the torsion sign; it is only meaningful when the
-    flag is true. Raises DegenerateFrame if the torsion vanishes at any
-    sample, since the ratio is undefined there.
-    """
-    return lancret_of(frame_grid(curve, grid_size)[2], tol)
-
-
 def axis_of(frames, theta: float, ratio_stat: ConstancyStat, tol: Tolerances):
-    """Helix axis on a frame grid, given the grid's Lancret result; see helix_axis."""
+    """Axis of a general helix on a frame grid, given the grid's Lancret
+    result: the unit mean of cos(theta) T + sin(theta) B, whose binormal term
+    carries the torsion's sign, and the constancy stat of the samples around
+    it. Raises NotAHelix when they wander from their mean."""
     sign = 1.0 if ratio_stat.mean >= 0 else -1.0
     samples = math.cos(theta) * frames.T + sign * math.sin(theta) * frames.B
     mean_vec = samples.mean(axis=0)
@@ -116,20 +104,6 @@ def axis_of(frames, theta: float, ratio_stat: ConstancyStat, tol: Tolerances):
     if stat.rel_dev > tol.constancy_tol:
         raise NotAHelix(f"axis direction wanders by {stat.rel_dev:.3e} relative")
     return mean_vec / mean_norm, stat
-
-
-def helix_axis(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Axis of a general helix as the mean of cos(theta) T + sin(theta) B.
-
-    The binormal term carries the sign of the torsion so the combination is
-    constant for either handedness. Returns the unit mean direction and the
-    constancy stat of the samples around it; raises NotAHelix when the
-    Lancret test or the axis constancy fails.
-    """
-    frames = frame_grid(curve, grid_size)[2]
-    is_helix, theta, ratio_stat = lancret_of(frames, tol)
-    require_helix(is_helix, ratio_stat)
-    return axis_of(frames, theta, ratio_stat, tol)
 
 
 def slant_of(jet, frames, tol: Tolerances):
@@ -163,9 +137,11 @@ def slant_test(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERANCES
     sigma is exact up to round off at each sample, from the curve's
     derivatives of orders 1 to 4, so the verdict does not depend on the
     grid spacing. Returns (is_slant_helix, sigma_stat); relative deviations
-    are taken against at least SIGMA_FLOOR.
+    are taken against at least SIGMA_FLOOR. sigma needs kappa != 0 only, so
+    this serves curves whose torsion vanishes, which classify_curve rejects.
     """
-    _, jet, frames = frame_grid(curve, grid_size, orders=(1, 2, 3, 4))
+    ts, jet, frames, exists = frame_grid(curve, grid_size, orders=(1, 2, 3, 4))
+    require_frames(frames, exists, ts)
     return slant_of(jet, frames, tol)
 
 
@@ -179,7 +155,8 @@ def bertrand_test(curve_a, curve_b, grid_size: int = 256):
         raise DomainMismatch(
             f"domains [{curve_a.t_lo}, {curve_a.t_hi}] and [{curve_b.t_lo}, {curve_b.t_hi}] differ"
         )
-    ts, _, frames_a = frame_grid(curve_a, grid_size)
+    ts, _, frames_a, exists = frame_grid(curve_a, grid_size)
+    require_frames(frames_a, exists, ts)
     dots = np.abs(np.sum(frames_a.N * frame_at(curve_b, ts).N, axis=1))
     stat = constancy_stat(dots)
     return bool(np.min(dots) >= 1.0 - VECTOR_TOL), stat
@@ -207,7 +184,8 @@ def classify_curve(curve, grid_size: int = 256, tol: Tolerances = DEFAULT_TOLERA
     whose curvature and torsion are each constant. theta and axis are
     populated only for general helices.
     """
-    _, jet, frames = frame_grid(curve, grid_size, orders=(1, 2, 3, 4))
+    ts, jet, frames, exists = frame_grid(curve, grid_size, orders=(1, 2, 3, 4))
+    require_frames(frames, exists, ts)
     return classify_of(jet, frames, tol)
 
 

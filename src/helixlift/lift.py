@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import ParamCurve, as_vec3, uniform_grid
-from .errors import DegenerateDenominator, InvalidField, NotUnitSpeed, ThetaMismatch
-from .frenet import frames_from_derivatives, require_frames
-from .helix import axis_of, lancret_of, require_helix
+from .curves import ParamCurve, as_vec3
+from .errors import DegenerateDenominator, InvalidField, NotAHelix, NotUnitSpeed, ThetaMismatch
+from .frenet import require_frames
+from .helix import axis_of, frame_grid, lancret_of
 from .tolerances import DEFAULT_TOLERANCES, VECTOR_TOL, Tolerances
 
 AXIS_MODES = ("unit", "paper_printed", "explicit")
@@ -141,7 +141,7 @@ def lift_curve(
     """Construct the lift of ``alpha`` described by ``spec``.
 
     Everything measured comes from one frame grid of alpha with grid_size
-    samples. spec.theta None means alpha's helix angle as lancret_test
+    samples. spec.theta None means alpha's helix angle as classify_curve
     measures it; the returned curve's spec holds that angle. With strict=True
     (the default) the base must be unit speed within VECTOR_TOL, have a frame
     at every sample and pass the Lancret test, whatever the axis mode and
@@ -156,19 +156,13 @@ def lift_curve(
     offset + axis * (s - s0) and therefore requires an explicit axis. Without
     strict, a given degenerate theta builds no grid.
     """
-
-    def grid():
-        # One jet serves the unit speed gate, the frames and the measured angle.
-        ts = uniform_grid(alpha.t_lo, alpha.t_hi, grid_size, least=3)
-        return ts, *frames_from_derivatives(*alpha.jet(ts, (1, 2, 3)))
-
-    return _lift_on_grid(alpha, spec, grid, tol, strict)
+    # One jet serves the unit speed gate, the frames and the measured angle.
+    return _lift_on_grid(alpha, spec, lambda: frame_grid(alpha, grid_size), tol, strict)
 
 
 def _lift_on_grid(alpha, spec, grid, tol, strict) -> LiftedCurve:
-    """lift_curve on alpha's grid: grid() returns (ts, frames, exists), the
-    frames as frames_from_derivatives gives them for alpha's jet at ts, and is
-    called only where lift_curve measures alpha."""
+    """lift_curve on alpha's grid: grid() returns what frame_grid(alpha, ...)
+    does, and is called only where lift_curve measures alpha."""
 
     def gated(spec):
         # Strict lifts pass every gate; others pass the Lancret test only
@@ -176,7 +170,7 @@ def _lift_on_grid(alpha, spec, grid, tol, strict) -> LiftedCurve:
         return strict or not (spec.axis_mode == "explicit" or spec.is_degenerate)
 
     if spec.theta is None or gated(spec):
-        ts, frames, exists = grid()
+        ts, _, frames, exists = grid()
         if strict:
             require_unit_speed(frames.speed)
         require_frames(frames, exists, ts)
@@ -184,8 +178,8 @@ def _lift_on_grid(alpha, spec, grid, tol, strict) -> LiftedCurve:
         if spec.theta is None:
             spec = replace(spec, theta=theta_measured)
 
-    if gated(spec):
-        require_helix(is_helix, ratio_stat)
+    if gated(spec) and not is_helix:
+        raise NotAHelix(f"kappa/tau relative deviation {ratio_stat.rel_dev:.3e} exceeds tolerance")
     if spec.is_degenerate:
         # At theta = pi/2 the axis term carries cos(theta) = 0 and is inert.
         return LiftedCurve(alpha, spec, np.zeros(3) if spec.axis is None else spec.axis)

@@ -25,11 +25,9 @@ from .frenet import (
     reparam_by_arclength,
     require_frames,
 )
-from .helix import classify_of, constancy_stat, slant_of, slant_test
+from .helix import STAT_FLOOR, classify_of, constancy_stat, frame_grid, slant_of, slant_test
 from .lift import LiftSpec, _lift_on_grid, closed_form_lift_frame, lift_curve
 from .tolerances import DEFAULT_TOLERANCES, VECTOR_TOL, Tolerances
-
-_FLOOR = 1e-12
 
 
 def oracle_frame(curve, t, h) -> FrenetFrame:
@@ -88,8 +86,8 @@ def compare_frames(frame_a: FrenetFrame, frame_b: FrenetFrame) -> FrameDelta:
         dT=float(np.max(np.abs(frame_a.T - frame_b.T))),
         dN=float(np.max(np.abs(frame_a.N - sign * frame_b.N))),
         dB=float(np.max(np.abs(frame_a.B - sign * frame_b.B))),
-        dkappa=float(np.max(np.abs(frame_a.kappa - frame_b.kappa) / np.maximum(ka, _FLOOR))),
-        dtau=float(np.max(np.abs(frame_a.tau - frame_b.tau) / np.maximum(ta, _FLOOR))),
+        dkappa=float(np.max(np.abs(frame_a.kappa - frame_b.kappa) / np.maximum(ka, STAT_FLOOR))),
+        dtau=float(np.max(np.abs(frame_a.tau - frame_b.tau) / np.maximum(ta, STAT_FLOOR))),
     )
 
 
@@ -164,8 +162,8 @@ def run_theorem_checks(
     lift; theorem3 checks that oracle lifted normals stay parallel to the
     base normals. The oracle grid spans the domain minus the stencil margin.
     """
-    lifted, jet, frames, lift_slant = _strict_lift_and_slant(alpha, spec, 256, tol)
-    return _theorem_checks(alpha, lifted, classify_of(jet, frames, tol), lift_slant, grid_size, tol)
+    lifted, cls, lift_slant = _strict_lift_and_slant(alpha, spec, 256, tol)
+    return _theorem_checks(alpha, lifted, cls, lift_slant, grid_size, tol)
 
 
 def _theorem_checks(alpha, lifted, base, lift_slant_test, grid_size, tol) -> VerificationReport:
@@ -226,7 +224,7 @@ def _entry(claim, printed, oracle, rule, samples) -> ErrataEntry:
     printed = np.asarray(printed, float)
     oracle = np.asarray(oracle, float)
     if rule == "rel":
-        delta = float(np.max(np.abs(printed - oracle) / np.maximum(np.abs(oracle), _FLOOR)))
+        delta = float(np.max(np.abs(printed - oracle) / np.maximum(np.abs(oracle), STAT_FLOOR)))
     else:
         delta = float(np.max(np.abs(printed - oracle)))
         if rule == "sign_free":
@@ -244,17 +242,15 @@ def _entry(claim, printed, oracle, rule, samples) -> ErrataEntry:
 
 
 def _strict_lift_and_slant(base, spec, grid_size, tol):
-    """The strict lift of base, base's jet of orders 1..4 and frames on one
-    grid, and the lift's slant test, from one evaluation of base: the lift's
-    jet is derived from base's."""
-    ts = uniform_grid(base.t_lo, base.t_hi, grid_size, least=3)
-    jet = base.jet(ts, (1, 2, 3, 4))
-    frames, exists = frames_from_derivatives(*jet[:3])
-    lifted = _lift_on_grid(base, spec, lambda: (ts, frames, exists), tol, strict=True)
+    """The strict lift of base, base's classification and the lift's slant
+    test, from one frame grid of base: the lift's jet is derived from base's."""
+    grid = frame_grid(base, grid_size, orders=(1, 2, 3, 4))
+    ts, jet, frames, _ = grid
+    lifted = _lift_on_grid(base, spec, lambda: grid, tol, strict=True)
     lifted_jet = lifted.lift_jet(ts, (1, 2, 3, 4), jet)
     lifted_frames, lifted_exists = frames_from_derivatives(*lifted_jet[:3])
     require_frames(lifted_frames, lifted_exists, ts)
-    return lifted, jet, frames, slant_of(lifted_jet, lifted_frames, tol)
+    return lifted, classify_of(jet, frames, tol), slant_of(lifted_jet, lifted_frames, tol)
 
 
 def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) -> VerificationReport:
@@ -283,7 +279,7 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
     axis_unit = lifted_literal.axis / 2.0
 
     alpha_u = reparam_by_arclength(literal)
-    lifted_u, jet_u, frames_u, lift_slant_u = _strict_lift_and_slant(
+    lifted_u, cls_u, lift_slant_u = _strict_lift_and_slant(
         alpha_u, LiftSpec(theta=theta), 256, tol
     )
     h_main = _theorem_oracle_step(alpha_u.span)
@@ -343,8 +339,7 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
     ]
     entries = [_entry(*claim, samples) for claim in claims]
 
-    main = _theorem_checks(alpha_u, lifted_u, classify_of(jet_u, frames_u, tol), lift_slant_u,
-                           grid_size=100, tol=tol)
+    main = _theorem_checks(alpha_u, lifted_u, cls_u, lift_slant_u, grid_size=100, tol=tol)
 
     # Theorem 2 across the circular helix family plus the twisted cubic control.
     slant_runs = [main.theorem2.residual]
@@ -352,11 +347,11 @@ def run_paper_suite(tol: Tolerances = DEFAULT_TOLERANCES, grid_size: int = 256) 
     t2_pass = main.theorem2.passed
     for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
         base_u = reparam_by_arclength(fixtures.circular_helix(a, b))
-        _, jet, frames, (lift_ok, lift_stat) = _strict_lift_and_slant(
+        _, cls, (lift_ok, lift_stat) = _strict_lift_and_slant(
             base_u, LiftSpec(theta=math.atan2(a, b)), grid_size, tol
         )
-        base_ok, base_stat = slant_of(jet, frames, tol)
-        slant_runs.extend([base_stat.rel_dev, lift_stat.rel_dev])
+        base_ok = cls.is_slant_helix
+        slant_runs.extend([cls.sigma_stat.rel_dev, lift_stat.rel_dev])
         pair_flags.append(f"helix({a:g},{b:g}):{'agree' if base_ok and lift_ok else 'broken'}")
         t2_pass = t2_pass and base_ok and lift_ok
     control_ok, _ = slant_test(fixtures.twisted_cubic(), grid_size=grid_size, tol=tol)

@@ -16,10 +16,10 @@ from helixlift import (
     PolynomialCurve,
     TransformedCurve,
     bertrand_test,
+    classify_curve,
     cli,
     compare_frames,
     frame_at,
-    lancret_test,
     lift_curve,
     oracle_frame,
     reparam_by_arclength,
@@ -66,7 +66,8 @@ def test_criterion_1_frame_formulas():
 
 def test_criterion_2_lancret_angle():
     """The cubic passes the Lancret test at theta = pi/4."""
-    ok_flag, theta, stat = lancret_test(paper_cubic())
+    cls = classify_curve(paper_cubic())
+    ok_flag, theta, stat = cls.is_general_helix, cls.theta, cls.ratio_stat
     ok = ok_flag and abs(theta - THETA) <= 1e-9 and stat.rel_dev < 1e-10
     report(
         2,

@@ -118,7 +118,7 @@ def test_a_lifted_jet_from_its_base_jet_equals_the_lifted_jet(base):
 
 def test_classify_of_a_frame_grid_equals_classify_curve():
     curve = reparam_by_arclength(paper_cubic())
-    _, jet, frames = helix.frame_grid(curve, 64, orders=(1, 2, 3, 4))
+    _, jet, frames, _ = helix.frame_grid(curve, 64, orders=(1, 2, 3, 4))
     got = helix.classify_of(jet, frames, DEFAULT_TOLERANCES)
     want = classify_curve(curve, grid_size=64)
     for name in want.__dataclass_fields__:
@@ -333,7 +333,7 @@ def frame_grids(monkeypatch):
         sizes.append(len(d1))
         return kernel(d1, *rest)
 
-    for module in (frenet, helix, lift, verify, cli):
+    for module in (frenet, helix, verify, cli):
         monkeypatch.setattr(module, "frames_from_derivatives", counting)
     return sizes
 
@@ -343,6 +343,15 @@ def test_paper_suite_builds_each_frame_grid_once(frame_grids):
     # The literal cubic's lift, one grid per reparameterized base and one
     # per lift of it (alpha_u and three circular helices), the twisted cubic.
     assert frame_grids.count(256) == 10
+
+
+@pytest.mark.parametrize("spec", ["paper_cubic", "circular_helix:0.6,0.8"])
+def test_an_auto_lift_builds_one_frame_grid(spec, frame_grids, capsys):
+    # The speed probe evaluates the base's jet only: a base that fails it is
+    # reparameterized and lifted on its own grid, one that passes is lifted
+    # on the probe's jet.
+    assert cli.main(["lift", "--spec", spec, "--theta", "auto"]) == 0
+    assert frame_grids == [256]
 
 
 def test_theorem_checks_evaluate_their_base_once(inverse_calls, frame_grids):

@@ -366,6 +366,19 @@ def test_non_positive_tol_exits_one_with_one_line(capsys, tol):
     assert err == f"error: --tol must be positive, got {float(tol)}\n"
 
 
+@pytest.mark.parametrize("argv", [["frenet", "--spec", "paper_cubic", "--at", "0"],
+                                  ["sample", "--spec", "paper_cubic", "--n", "3"]],
+                         ids=["frenet", "sample"])
+def test_tol_is_a_usage_error_where_no_decision_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--tol", "1e-3"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 2
+    assert err.endswith(": error: unrecognized arguments: --tol 1e-3\n")
+
+
 def test_explicit_axis_lift_round_trips(tmp_path, capsys):
     emitted = tmp_path / "explicit.json"
     code, _, _ = run(

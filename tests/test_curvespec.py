@@ -156,6 +156,23 @@ def test_a_boolean_is_not_a_number_in_an_array_field(name, doc):
         curve_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "name, doc, entry",
+    [
+        ("offset", {"kind": "lifted", "theta": 0.5, "offset": ["1e3", 0, 0], "base": HELIX}, "1e3"),
+        ("axis", {"kind": "lifted", "theta": 0.5, "axis_mode": "explicit", "axis": [0, 0, "1"],
+                  "base": HELIX}, "1"),
+        ("coeffs", {"kind": "polynomial", "domain": [0, 1], "coeffs": [["0", "1"], [0], [0]]}, "0"),
+        ("points", {"kind": "polyline", "points": [[0, 0, 0], [1, "0", 0]], "knots": [0, 1]}, "0"),
+        ("knots", {"kind": "polyline", "points": [[0, 0, 0], [1, 0, 0]], "knots": [0, "1"]}, "1"),
+    ],
+    ids=["offset", "axis", "coeffs", "points", "knots"],
+)
+def test_a_numeric_string_is_not_a_number_in_an_array_field(name, doc, entry):
+    with pytest.raises(InvalidField, match=f"^field '{name}' holds '{entry}' where a number belongs$"):
+        curve_from_dict(doc)
+
+
 def test_a_domain_wider_than_the_float_range_is_invalid():
     doc = {**HELIX, "domain": [-1e308, 1e308]}
     with pytest.raises(InvalidField, match=r"^domain \[-1e\+308, 1e\+308\] is wider than the float range$"):

@@ -7,20 +7,19 @@ import numpy.testing as npt
 import pytest
 
 from helixlift import (
+    DEFAULT_TOLERANCES,
     DegenerateFrame,
     LiftSpec,
-    NotAHelix,
     TransformedCurve,
     bertrand_test,
     classify_curve,
     constancy_stat,
-    helix_axis,
-    lancret_test,
     lift_curve,
     reparam_by_arclength,
     slant_test,
 )
 from helixlift.errors import DomainMismatch
+from helixlift.helix import axis_of, frame_grid
 from helixlift.fixtures import (
     circular_helix,
     paper_cubic,
@@ -43,40 +42,41 @@ def test_constancy_stat_basics():
 
 
 def test_cubic_is_a_general_helix_at_pi_over_4():
-    ok, theta, stat = lancret_test(paper_cubic())
-    assert ok
-    assert abs(theta - math.pi / 4) < 1e-12
-    assert stat.rel_dev < 1e-10
+    cls = classify_curve(paper_cubic())
+    assert cls.is_general_helix
+    assert abs(cls.theta - math.pi / 4) < 1e-12
+    assert cls.ratio_stat.rel_dev < 1e-10
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0), (1.0, math.sqrt(3))])
 def test_circular_helix_angle(a, b):
-    ok, theta, _ = lancret_test(circular_helix(a, b))
-    assert ok
-    assert abs(theta - math.atan2(a, b)) < 1e-12
+    cls = classify_curve(circular_helix(a, b))
+    assert cls.is_general_helix
+    assert abs(cls.theta - math.atan2(a, b)) < 1e-12
 
 
 def test_quartic_is_not_a_helix():
-    ok, _, stat = lancret_test(quartic_non_helix())
-    assert not ok
-    assert stat.rel_dev > 1e-2
-    with pytest.raises(NotAHelix):
-        helix_axis(quartic_non_helix())
+    cls = classify_curve(quartic_non_helix())
+    assert not cls.is_general_helix
+    assert cls.ratio_stat.rel_dev > 1e-2
+    assert cls.axis is None
 
 
 def test_planar_circle_is_degenerate_for_lancret():
     with pytest.raises(DegenerateFrame):
-        lancret_test(planar_circle())
+        classify_curve(planar_circle())
 
 
 def test_cubic_axis_direction():
-    axis, stat = helix_axis(paper_cubic())
-    npt.assert_allclose(axis, [math.sqrt(2) / 2, 0.0, math.sqrt(2) / 2], atol=1e-10)
+    cls = classify_curve(paper_cubic())
+    npt.assert_allclose(cls.axis, [math.sqrt(2) / 2, 0.0, math.sqrt(2) / 2], atol=1e-10)
+    frames = frame_grid(paper_cubic(), 256)[2]
+    _, stat = axis_of(frames, cls.theta, cls.ratio_stat, DEFAULT_TOLERANCES)
     assert stat.rel_dev < 1e-10
 
 
 def test_helix_axis_is_vertical():
-    axis, _ = helix_axis(circular_helix(2.0, 1.0))
+    axis = classify_curve(circular_helix(2.0, 1.0)).axis
     npt.assert_allclose(axis, [0.0, 0.0, 1.0], atol=1e-10)
 
 
@@ -89,8 +89,8 @@ def test_axis_follows_rigid_motion():
             [-math.sin(ang), 0.0, math.cos(ang)],
         ]
     )
-    axis0, _ = helix_axis(paper_cubic())
-    axis1, _ = helix_axis(TransformedCurve(paper_cubic(), rotation=rot))
+    axis0 = classify_curve(paper_cubic()).axis
+    axis1 = classify_curve(TransformedCurve(paper_cubic(), rotation=rot)).axis
     npt.assert_allclose(axis1, rot @ axis0, atol=1e-9)
 
 

@@ -7,14 +7,15 @@ import numpy.testing as npt
 import pytest
 
 from helixlift import (
+    DEFAULT_TOLERANCES,
     DegenerateFrame,
     LiftSpec,
     NotAHelix,
     NotUnitSpeed,
     ThetaMismatch,
+    classify_curve,
     closed_form_lift_frame,
     frame_at,
-    lancret_test,
     lift_curve,
     parse_curve_spec,
     reparam_by_arclength,
@@ -31,6 +32,7 @@ from helixlift.fixtures import (
     quartic_non_helix,
     twisted_cubic,
 )
+from helixlift.helix import frame_grid, lancret_of
 
 THETA = math.pi / 4
 
@@ -117,7 +119,7 @@ def test_strict_needs_frames_with_an_explicit_axis():
 def test_measured_theta_is_the_lancret_angle(axis_mode):
     base = unit_cubic()
     lifted = lift_curve(base, LiftSpec(theta=None, axis_mode=axis_mode))
-    assert lifted.spec.theta == lancret_test(base)[1]
+    assert lifted.spec.theta == classify_curve(base).theta
     given = lift_curve(base, LiftSpec(theta=lifted.spec.theta, axis_mode=axis_mode))
     assert np.array_equal(lifted.axis, given.axis)
     text = serialize_curve_spec(lifted)
@@ -130,7 +132,8 @@ def test_measured_theta_without_strict_skips_the_lancret_gate():
     spec = LiftSpec(theta=None, axis_mode="explicit", axis=np.array([0.0, 0.0, 1.0]))
     with pytest.raises(NotAHelix):
         lift_curve(base, spec)
-    assert lift_curve(base, spec, strict=False).spec.theta == lancret_test(base)[1]
+    measured = lancret_of(frame_grid(base, 256)[2], DEFAULT_TOLERANCES)[1]
+    assert lift_curve(base, spec, strict=False).spec.theta == measured
 
 
 def test_a_measured_degenerate_theta_takes_the_degenerate_path():
@@ -154,7 +157,7 @@ def test_a_given_degenerate_theta_builds_no_grid(monkeypatch):
     def no_grid(*args):
         raise AssertionError("a frame grid was built")
 
-    monkeypatch.setattr(lift_module, "frames_from_derivatives", no_grid)
+    monkeypatch.setattr(lift_module, "frame_grid", no_grid)
     lift_curve(twisted_cubic(), LiftSpec(theta=math.pi / 2), strict=False)
     lift_curve(paper_cubic(), LiftSpec(theta=0.5, axis_mode="explicit", axis=np.ones(3)),
                strict=False)
