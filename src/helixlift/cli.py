@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "for regular space curves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True, tol=True):
+    def common(p, spec=True, tol=True, out=True):
         if spec:
             p.add_argument("--spec", required=True,
                            help="fixture name (paper_cubic, twisted_cubic, circular_helix:a,b, "
@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             p.add_argument("--tol", type=float, default=None,
                            help="override the constancy tolerance used for decisions")
-        p.add_argument("--out", default=None, help="write the JSON output to this file")
+        if out:
+            p.add_argument("--out", default=None, help="write the JSON output to this file")
 
     p = sub.add_parser("classify", help="run the helix classification battery")
     common(p)
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("sample", help="sample positions (and optionally frames) to CSV")
-    common(p, tol=False)
+    common(p, tol=False, out=False)
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--frames", action="store_true", help="include frame columns")
     p.add_argument("--csv", default=None, help="write CSV here instead of stdout")

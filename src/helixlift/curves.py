@@ -166,17 +166,22 @@ class PolynomialCurve(ParamCurve):
                 raise InvalidField(f"coefficient list {i} contains non-finite values")
             cleaned.append(arr.copy())
         self._coeffs = tuple(cleaned)
-        table = [self._coeffs]
-        for _ in range(MAX_DERIVATIVE_ORDER):
-            table.append(tuple(npoly.polyder(c) for c in table[-1]))
-        self._deriv_coeffs = tuple(table)
+        # One zero padded (degree + 1, 3) table per order for one polyval. Each
+        # column is differentiated alone, so every result equals polyval on it.
+        self._tables, comps = [], self._coeffs
+        for order in range(MAX_DERIVATIVE_ORDER + 1):
+            comps = [npoly.polyder(c) for c in comps] if order else comps
+            self._tables.append(np.zeros((max(c.size for c in comps), 3)))
+            for i, c in enumerate(comps):
+                self._tables[-1][: c.size, i] = c
 
     @property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._coeffs
 
     def _evaluate(self, ts: np.ndarray, order: int) -> np.ndarray:
-        return np.stack([npoly.polyval(ts, c) for c in self._deriv_coeffs[order]], axis=-1)
+        # C order, as the stacked columns were, so products downstream round alike.
+        return np.ascontiguousarray(npoly.polyval(ts, self._tables[order]).T)
 
 
 class CircularHelix(ParamCurve):

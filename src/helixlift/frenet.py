@@ -13,7 +13,8 @@ Every frame comes from one kernel, ``frames_from_derivatives``, which works
 on arrays of samples. Arc length integrates the speed with one adaptive
 Simpson integrator that refines all panels together, and the unit speed
 reparameterization inverts the cumulative arc length map with a bracketed
-Newton iteration run on all queries at once. Nothing is cached. The
+Newton iteration run on all queries at once, whose steps reuse the speed the
+quadrature evaluated at each iterate, its end point. Nothing is cached. The
 reparameterized curve differentiates through the chain rule, so its
 derivatives are as exact as the base curve's. Frames evaluate the first
 three derivatives as one ``jet``, which on a reparameterized curve solves
@@ -47,6 +48,12 @@ class FrenetFrame:
     speed: float
 
 
+def cross3(a, b) -> np.ndarray:
+    """a x b of (3,) vectors or (n, 3) rows: np.cross's slice arithmetic, without its overhead."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def frames_from_derivatives(d1, d2, d3):
     """The frame kernel: Frenet frames from the first three derivatives.
 
@@ -57,13 +64,13 @@ def frames_from_derivatives(d1, d2, d3):
     """
     with np.errstate(all="ignore"):
         speed = np.linalg.norm(d1, axis=-1)
-        cross = np.cross(d1, d2)
+        cross = cross3(d1, d2)
         cross_norm = np.linalg.norm(cross, axis=-1)
         kappa = cross_norm / speed**3
         tau = np.sum(cross * d3, axis=-1) / cross_norm**2
         T = d1 / speed[..., None]
         B = cross / cross_norm[..., None]
-        N = np.cross(B, T)
+        N = cross3(B, T)
     exists = (speed > SPEED_TOL) & (cross_norm > SPEED_TOL)
     exists &= np.all(np.isfinite([speed, cross_norm, kappa, tau]), axis=0)
     return FrenetFrame(T=T, N=N, B=B, kappa=kappa[()], tau=tau[()], speed=speed[()]), exists
@@ -110,11 +117,12 @@ _MAX_OPEN_PANELS = 1 << 18
 
 
 def _speed(curve, ts):
-    return np.linalg.norm(curve.eval(ts, 1), axis=-1)
+    return np.sqrt(np.add.reduce(curve.eval(ts, 1) ** 2, axis=-1))  # np.linalg.norm's arithmetic
 
 
-def integrate_speed(curve, a, b) -> np.ndarray:
-    """Arc length over each panel [a[i], b[i]] by adaptive Simpson quadrature.
+def integrate_speed(curve, a, b):
+    """Arc length over each panel [a[i], b[i]] by adaptive Simpson quadrature,
+    and the speed at each b[i], which the first level evaluates.
 
     All panels are refined together, one level at a time, with one speed
     evaluation per level. A panel is accepted when halving moves its
@@ -127,14 +135,14 @@ def integrate_speed(curve, a, b) -> np.ndarray:
     x0 = np.asarray(a, dtype=float)
     x2 = np.asarray(b, dtype=float)
     n = x0.size
-    f0, f1, f2 = np.split(_speed(curve, np.concatenate([x0, 0.5 * (x0 + x2), x2])), 3)
+    f0, f1, f2 = fs = _speed(curve, np.concatenate([x0, 0.5 * (x0 + x2), x2])).reshape(3, -1)
     whole = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
     floor = (x2 - x0) * 1e-14
     owner = np.arange(n)
     owners, parts = [], []
     for depth in range(_MAX_DEPTH + 1):
         xm = 0.5 * (x0 + x2)
-        fl, fr = np.split(_speed(curve, np.concatenate([0.5 * (x0 + xm), 0.5 * (xm + x2)])), 2)
+        fl, fr = _speed(curve, np.concatenate([0.5 * (x0 + xm), 0.5 * (xm + x2)])).reshape(2, -1)
         left = (xm - x0) / 6.0 * (f0 + 4.0 * fl + f1)
         right = (x2 - xm) / 6.0 * (f1 + 4.0 * fr + f2)
         diff = left + right - whole
@@ -152,14 +160,14 @@ def integrate_speed(curve, a, b) -> np.ndarray:
         x0, x2 = np.concatenate([x0[more], xm[more]]), np.concatenate([xm[more], x2[more]])
         f0, f1, f2 = (np.concatenate([u[more], w[more]]) for u, w in ((f0, f1), (fl, fr), (f1, f2)))
         whole = np.concatenate([left[more], right[more]])
-    return np.bincount(np.concatenate(owners), weights=np.concatenate(parts), minlength=n)
+    return np.bincount(np.concatenate(owners), weights=np.concatenate(parts), minlength=n), fs[2]
 
 
 def arc_length(curve, t0, t1) -> float:
     """Arc length of the curve between t0 and t1 (t0 <= t1 required)."""
     if float(t0) > float(t1):
         raise InputError(f"arc_length needs t0 <= t1, got t0={t0}, t1={t1}")
-    return float(integrate_speed(curve, [t0], [t1])[0])
+    return float(integrate_speed(curve, [t0], [t1])[0][0])
 
 
 class ArcLengthMap:
@@ -181,7 +189,7 @@ class ArcLengthMap:
             raise ZeroSpeed(
                 f"speed vanishes near t={ts[slow[0]]}; arc length map is not invertible"
             )
-        seg = integrate_speed(curve, ts[:-1], ts[1:])
+        seg = integrate_speed(curve, ts[:-1], ts[1:])[0]
         if not np.all(np.isfinite(seg) & (seg > 0)):
             raise ZeroSpeed("arc length table is not finite and strictly increasing")
         self._ts = ts
@@ -197,10 +205,14 @@ class ArcLengthMap:
 
     def forward(self, t):
         """Arc length from the domain start to t (a parameter or an array)."""
-        ts = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), *self._curve.domain)
-        k = np.clip(np.searchsorted(self._ts, ts, side="right") - 1, 0, len(self._ts) - 2)
-        s = self._cum[k] + integrate_speed(self._curve, self._ts[k], ts)
+        s = self._forward(np.atleast_1d(np.asarray(t, dtype=float)))[0]
         return s if np.ndim(t) else float(s[0])
+
+    def _forward(self, ts: np.ndarray):
+        ts = np.clip(ts, *self._curve.domain)
+        k = np.clip(np.searchsorted(self._ts, ts, side="right") - 1, 0, len(self._ts) - 2)
+        lengths, speed = integrate_speed(self._curve, self._ts[k], ts)
+        return self._cum[k] + lengths, speed
 
     def inverse(self, s):
         """Parameter t with forward(t) = s (a length or an array), s clamped
@@ -219,11 +231,12 @@ class ArcLengthMap:
         active = np.arange(t.size)
         for _ in range(12):
             ta = t[active]
-            resid = self.forward(ta) - s[active]
+            s_ta, speed = self._forward(ta)
+            resid = s_ta - s[active]
             above = resid > 0
             hi_b[active] = np.where(above, ta, hi_b[active])
             lo_b[active] = np.where(above, lo_b[active], ta)
-            t_new = ta - resid / _speed(self._curve, ta)
+            t_new = ta - resid / speed
             inside = (lo_b[active] <= t_new) & (t_new <= hi_b[active])
             t_new = np.where(inside, t_new, 0.5 * (lo_b[active] + hi_b[active]))
             t[active] = t_new

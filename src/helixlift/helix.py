@@ -23,7 +23,7 @@ import numpy as np
 
 from .curves import same_domain, uniform_grid
 from .errors import DegenerateFrame, DomainMismatch, InvalidField, NotAHelix
-from .frenet import frame_at, frames_from_derivatives, require_frames
+from .frenet import cross3, frame_at, frames_from_derivatives, require_frames
 from .tolerances import DEFAULT_TOLERANCES, SPEED_TOL, VECTOR_TOL, Tolerances
 
 #: Denominator floor in relative deviation, keeps sigma == 0 well defined.
@@ -119,10 +119,10 @@ def slant_of(jet, frames, tol: Tolerances):
     """
     d1, d2, d3, d4 = jet
     v = frames.speed
-    c = np.cross(d1, d2)
+    c = cross3(d1, d2)
     cn = np.linalg.norm(c, axis=1)
     vdot = np.sum(d1 * d2, axis=1) / v
-    cndot = np.sum(c * np.cross(d1, d3), axis=1) / cn
+    cndot = np.sum(c * cross3(d1, d3), axis=1) / cn
     p = np.sum(c * d3, axis=1)
     dratio = (v / cn) ** 3 * (np.sum(c * d4, axis=1) + 3.0 * p * (vdot / v - cndot / cn))
     k2 = frames.kappa * frames.kappa

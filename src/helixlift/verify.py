@@ -11,7 +11,7 @@ claim; the three lift theorems are checked at the oracle level on top.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,18 +41,26 @@ def oracle_frame(curve, t, h) -> FrenetFrame:
     """
     ts = np.asarray(t, dtype=float)
     h = float(h)
+    return _oracle_of(curve.eval(_stencil(curve.domain, ts, h).ravel(), 0), ts, h)
+
+
+def _stencil(domain, ts, h) -> np.ndarray:
+    """ts - 2h .. ts + 2h, one row per offset; StencilOutOfDomain outside domain."""
     if not h > 0:
         raise StencilOutOfDomain(f"step must be positive, got {h}")
-    lo, hi = curve.domain
+    lo, hi = domain
     bad = outside(ts - 2.0 * h, lo, hi) | outside(ts + 2.0 * h, lo, hi)
     if bad.any():
         u = ts[bad].flat[0]
         raise StencilOutOfDomain(
             f"stencil [{u - 2 * h}, {u + 2 * h}] does not fit in [{lo}, {hi}]"
         )
-    # All five stencil offsets in one evaluation, one row of f per offset.
-    stencil = np.add.outer(h * np.arange(-2.0, 3.0), ts)
-    f = curve.eval(stencil.ravel(), 0).reshape(stencil.shape + (3,))
+    return np.add.outer(h * np.arange(-2.0, 3.0), ts)
+
+
+def _oracle_of(positions, ts, h) -> FrenetFrame:
+    """oracle_frame at ts from the positions on its raveled stencil."""
+    f = positions.reshape((5,) + ts.shape + (3,))
     d1 = (f[3] - f[1]) / (2.0 * h)
     d2 = (f[3] - 2.0 * f[2] + f[1]) / (h * h)
     d3 = (f[4] - 2.0 * f[3] + 2.0 * f[1] - f[0]) / (2.0 * h**3)
@@ -128,15 +136,12 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        out = {"config": self.config, "example_checks": [asdict(e) for e in self.example_checks]}
+        checks = [vars(e).copy() for e in self.example_checks]  # lists shared, not deep copied
+        out = {"config": self.config, "example_checks": checks}
         for name in ("theorem1", "theorem2", "theorem3"):
-            result = getattr(self, name)
-            out[name] = None if result is None else {
-                "pass": result.passed,
-                "residual": result.residual,
-                "value": result.value,
-                "note": result.note,
-            }
+            r = getattr(self, name)
+            out[name] = None if r is None else {"pass": r.passed, "residual": r.residual,
+                                                "value": r.value, "note": r.note}
         return out
 
 
@@ -160,7 +165,8 @@ def run_theorem_checks(
     the inner product between the unit helix axis and the oracle tangent of
     the lift; theorem2 checks that the slant test agrees between base and
     lift; theorem3 checks that oracle lifted normals stay parallel to the
-    base normals. The oracle grid spans the domain minus the stencil margin.
+    base normals. The oracle grid spans the domain minus the stencil margin;
+    one jet of alpha on its stencil gives the lift's positions and alpha's frames.
     """
     lifted, cls, lift_slant = _strict_lift_and_slant(alpha, spec, 256, tol)
     return _theorem_checks(alpha, lifted, cls, lift_slant, grid_size, tol)
@@ -173,9 +179,14 @@ def _theorem_checks(alpha, lifted, base, lift_slant_test, grid_size, tol) -> Ver
     h = _theorem_oracle_step(alpha.span)
     lo, hi = alpha.domain
     us = uniform_grid(lo + 2.0 * h, hi - 2.0 * h, grid_size, least=1)
-    lifted_frames = oracle_frame(lifted, us, h)
+    # One jet of alpha on the oracle stencil: lift positions, and alpha's frames on its row us.
+    flat = np.clip(_stencil(lifted.domain, us, h).ravel(), lo, hi)  # as lifted.jet clips it
+    pos, *derivs = alpha.jet(flat, (0, 1, 2, 3))
+    lifted_frames = _oracle_of(lifted.lift_jet(flat, (0,), [pos])[0], us, h)
+    alpha_frames, exists = frames_from_derivatives(*(d.reshape(5, -1, 3)[2] for d in derivs))
+    require_frames(alpha_frames, exists, us)
     axis_dots = lifted_frames.T @ base.axis
-    normal_dots = np.abs(np.sum(lifted_frames.N * frame_at(alpha, us).N, axis=1))
+    normal_dots = np.abs(np.sum(lifted_frames.N * alpha_frames.N, axis=1))
 
     t1_stat = constancy_stat(axis_dots)
     theorem1 = TheoremResult(

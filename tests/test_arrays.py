@@ -251,12 +251,22 @@ def test_strict_lift_solves_the_arc_length_inverse_once(inverse_calls):
 def test_paper_suite_inverse_solves_stay_pinned(inverse_calls):
     # Pinned at the measured count: one 256 point jet per reparameterized
     # base (alpha_u and three circular helices) serves its lift, its
-    # classification and both slant tests; one solve each for the lifted
-    # oracle at the printed samples, the lifted oracle on the theorem grid
-    # and alpha's frames there.
+    # classification and both slant tests; one solve for the lifted oracle
+    # at the printed samples, and one for alpha's jet on the theorem grid's
+    # oracle stencil, which serves the lifted oracle and alpha's frames.
     run_paper_suite()
-    assert len(inverse_calls) <= 7
-    assert sum(inverse_calls) <= 1_644
+    assert len(inverse_calls) <= 6
+    assert sum(inverse_calls) <= 1_544
+
+
+def test_an_inverse_evaluates_its_base_twice_per_newton_step():
+    # Each step reads the speed at its iterate from the quadrature's first
+    # level; the 256 queries take three steps, each of two levels.
+    alpha = reparam_by_arclength(CountingCubic())
+    queries = np.linspace(0.0, alpha.length_map.total_length, 256)
+    alpha.base.calls = 0
+    alpha.length_map.inverse(queries)
+    assert alpha.base.calls == 6
 
 
 @pytest.mark.parametrize(
@@ -356,13 +366,14 @@ def test_an_auto_lift_builds_one_frame_grid(spec, frame_grids, capsys):
 
 def test_theorem_checks_evaluate_their_base_once(inverse_calls, frame_grids):
     # One 256 point jet of the base serves the strict lift gate, the base's
-    # classification and, through the lift's jet, the lift's slant test. The
-    # 100 point theorem grid adds the lifted oracle's five stencil rows and
-    # the base's frames there.
+    # classification and, through the lift's jet, the lift's slant test. On
+    # the 100 point theorem grid one base jet on the oracle's five stencil
+    # rows gives the lift's positions there and, on its middle row, the
+    # base's frames.
     alpha = reparam_by_arclength(paper_cubic())
     inverse_calls.clear()
     run_theorem_checks(alpha, LiftSpec(theta=math.pi / 4))
-    assert inverse_calls == [256, 500, 100]
+    assert inverse_calls == [256, 500]
     assert frame_grids == [256, 256, 100, 100]  # base, lift, oracle, base
 
 

@@ -379,6 +379,19 @@ def test_tol_is_a_usage_error_where_no_decision_reads_it(capsys, argv):
     assert err.endswith(": error: unrecognized arguments: --tol 1e-3\n")
 
 
+def test_sample_has_no_out_option(tmp_path, capsys, monkeypatch):
+    # sample writes its CSV to --csv or stdout; --out would be silently ignored.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", "--spec", "paper_cubic", "--n", "2", "--out", "x.json"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 2
+    assert err.endswith(": error: unrecognized arguments: --out x.json\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_explicit_axis_lift_round_trips(tmp_path, capsys):
     emitted = tmp_path / "explicit.json"
     code, _, _ = run(

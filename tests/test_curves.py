@@ -5,6 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from helixlift import (
     CircularHelix,
@@ -123,3 +124,26 @@ def test_transform_maps_positions_and_derivatives():
 def test_polynomial_requires_three_components():
     with pytest.raises(InvalidField):
         PolynomialCurve([[1.0], [2.0]], domain=(0, 1))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [[0, 6], [0, 0, 3], [0, 0, 0, 1]],
+        [[-5.0], [1.0, -2.0], [0.5, -1.0, 2.0, -3.0, 0.25]],
+        [[2.0, 0.0, -0.0], [-0.0], [7.0, 1.0, 0.5, -1e-3]],
+    ],
+    ids=["paper_cubic", "negative_constant", "signed_zeros"],
+)
+def test_polynomial_orders_equal_the_per_component_polyval_stack(coeffs):
+    # One polyval on a zero padded table per order returns exactly what one
+    # polyval per component did, down to the sign of every zero.
+    curve = PolynomialCurve(coeffs, domain=(-3, 3))
+    ts = np.concatenate([np.linspace(-3.0, 3.0, 41), [-0.0, 0.0, -1e-300]])
+    comps = [np.asarray(c, dtype=float) for c in coeffs]
+    for order in range(5):
+        want = np.stack([npoly.polyval(ts, c) for c in comps], axis=-1)
+        got = curve.eval(ts, order)
+        assert np.array_equal(got, want), order
+        assert got.tobytes() == want.tobytes(), order
+        comps = [npoly.polyder(c) for c in comps]

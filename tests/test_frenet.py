@@ -20,6 +20,7 @@ from helixlift import (
     ZeroSpeed,
     arc_length,
     frame_at,
+    frenet,
     reparam_by_arclength,
 )
 from helixlift.fixtures import circular_helix, paper_cubic, planar_circle, twisted_cubic
@@ -169,3 +170,16 @@ def test_scaling_divides_kappa_tau():
     assert np.all(np.abs(fr1.kappa - fr0.kappa / scale) / (fr0.kappa / scale) < 1e-9)
     assert np.all(np.abs(fr1.tau - fr0.tau / scale) / np.abs(fr0.tau / scale) < 1e-9)
     assert abs(arc_length(scaled, 0.0, 1.0) - scale * 7.0) < 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cross3_equals_np_cross_to_the_bit(seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, 64, 3)) * 10.0 ** rng.integers(-8, 9, size=(2, 64, 1))
+    a[:4, 0] = 0.0  # zero components, signed zeros in the products
+    b[2:6, 1] = -0.0
+    for x, y in ((a, b), (a[0], b[0]), (a[5], b[3])):
+        got, want = frenet.cross3(x, y), np.cross(x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 """The position-only oracle and the verification suites."""
 
+import dataclasses
 import json
 import math
 import re
@@ -193,3 +194,13 @@ def test_report_serializes():
     assert back["theorem1"]["pass"] is True
     assert len(back["example_checks"]) == len(EXPECTED_CLAIM_IDS)
     assert back["config"]["sample_points"] == [0.0, 0.5, 1.0, 2.0]
+
+
+def test_report_dict_serializes_as_the_asdict_one():
+    report = run_paper_suite(grid_size=64)
+    want = {"config": report.config,
+            "example_checks": [dataclasses.asdict(e) for e in report.example_checks]}
+    for name in ("theorem1", "theorem2", "theorem3"):
+        r = getattr(report, name)
+        want[name] = {"pass": r.passed, "residual": r.residual, "value": r.value, "note": r.note}
+    assert json.dumps(report.to_dict()) == json.dumps(want)
